@@ -75,7 +75,7 @@ ChurnResult RunChurn(const char* policy, int rounds,
   qcfg.hotspot_prob = 0.9;
   dsps::workload::QueryGen gen(qcfg, &sys.catalog(), dsps::common::Rng(7));
   // Initial well-clustered batch.
-  if (!sys.SubmitBatch(gen.Batch(64)).ok()) std::abort();
+  if (!sys.SubmitQueries(gen.Batch(64)).first_error.ok()) std::abort();
 
   dsps::partition::HybridRepartitioner hybrid;
   dsps::partition::ScratchRepartitioner scratch_rp;

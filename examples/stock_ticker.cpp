@@ -43,7 +43,7 @@ int main() {
   qcfg.hotspot_prob = 0.85;
   dsps::workload::QueryGen gen(qcfg, &sys.catalog(), dsps::common::Rng(17));
   auto queries = gen.Batch(64);
-  dsps::common::Status s = sys.SubmitBatch(queries);
+  dsps::common::Status s = sys.SubmitQueries(queries).first_error;
   if (!s.ok()) {
     std::fprintf(stderr, "batch submit failed: %s\n", s.ToString().c_str());
     return 1;

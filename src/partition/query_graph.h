@@ -1,6 +1,7 @@
 #ifndef DSPS_PARTITION_QUERY_GRAPH_H_
 #define DSPS_PARTITION_QUERY_GRAPH_H_
 
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -63,7 +64,7 @@ class QueryGraph {
   /// non-null, the per-stream box indexes' statistics (strategy mix,
   /// memory, spline health) are accumulated into it before they are torn
   /// down.
-  static QueryGraph Build(const std::vector<engine::Query>& queries,
+  static QueryGraph Build(std::span<const engine::Query> queries,
                           const interest::StreamCatalog& catalog,
                           double min_edge_weight = 1e-9,
                           interest::IndexStats* index_stats = nullptr);

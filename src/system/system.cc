@@ -450,7 +450,7 @@ common::EntityId System::AllocateOne(const engine::Query& query) {
       return route.value().entity;
     }
     case AllocationMode::kPlacementMap: {
-      // O(1) stateless placement: the first alive map target. SubmitQuery
+      // O(1) stateless placement: the first alive map target. SubmitDirect
       // normally walks the full target list itself (so admission refusals
       // fall through to standbys); this case covers direct callers.
       for (common::EntityId t : placement_map_->Targets(query.id)) {
@@ -507,10 +507,7 @@ common::Status System::InstallOn(common::EntityId entity,
     if (boxes.empty() || !catalog_.Contains(s)) continue;
     tps = std::max(tps, catalog_.stats(s).tuples_per_s);
   }
-  // Tenant-enabled runs take their load factor from the controller's
-  // config; the scalar gate keeps its pre-tenant meaning otherwise.
-  double load_factor = admission_ != nullptr ? config_.admission.load_factor
-                                             : config_.admission_load_factor;
+  const double load_factor = config_.admission.load_factor;
   if (load_factor > 0.0) {
     double capacity = config_.entity.processor_capacity *
                       entities_[entity]->num_processors();
@@ -581,10 +578,7 @@ common::Status System::InstallOn(common::EntityId entity,
   return common::Status::OK();
 }
 
-common::Status System::SubmitQuery(const engine::Query& query) {
-  if (entities_.empty()) {
-    return common::Status::FailedPrecondition("no entities");
-  }
+common::Status System::SubmitOne(const engine::Query& query) {
   // The admission controller arbitrates NEW submissions only. Internal
   // re-submissions (eviction re-homes, unplaced retries) carry ids that
   // are still on the accepted_ ledger — their tenant already paid for
@@ -599,11 +593,14 @@ common::Status System::SubmitQuery(const engine::Query& query) {
   return SubmitDirect(query);
 }
 
+void System::AssignClient(common::QueryId query) {
+  if (client_nodes_.empty() || client_of_query_.count(query) > 0) return;
+  client_of_query_[query] = next_client_;
+  next_client_ = (next_client_ + 1) % static_cast<int>(client_nodes_.size());
+}
+
 common::Status System::SubmitDirect(const engine::Query& query) {
-  if (!client_nodes_.empty() && client_of_query_.count(query.id) == 0) {
-    client_of_query_[query.id] = next_client_;
-    next_client_ = (next_client_ + 1) % static_cast<int>(client_nodes_.size());
-  }
+  AssignClient(query.id);
   if (config_.allocation == AllocationMode::kPlacementMap) {
     // Walk the map's target list in order — primary first, then the warm
     // standbys — so an admission refusal falls through to the next
@@ -821,33 +818,6 @@ double System::TenantSloAttainment(tenant::TenantId tenant) const {
          static_cast<double>(it->second.results);
 }
 
-common::Status System::SubmitBatch(const std::vector<engine::Query>& queries) {
-  if (config_.allocation != AllocationMode::kGraphPartition) {
-    for (const engine::Query& q : queries) {
-      DSPS_RETURN_IF_ERROR(SubmitQuery(q));
-    }
-    return common::Status::OK();
-  }
-  // Partition across the alive entities only.
-  std::vector<common::EntityId> alive_ids;
-  for (int e = 0; e < num_entities(); ++e) {
-    if (alive_[e]) alive_ids.push_back(e);
-  }
-  if (alive_ids.empty()) {
-    return common::Status::FailedPrecondition("no alive entities");
-  }
-  partition::QueryGraph graph = partition::QueryGraph::Build(queries, catalog_);
-  partition::MultilevelPartitioner partitioner;
-  auto assignment = partitioner.Partition(
-      graph, static_cast<int>(alive_ids.size()), config_.balance_tolerance);
-  if (!assignment.ok()) return assignment.status();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    DSPS_RETURN_IF_ERROR(
-        InstallOn(alive_ids[assignment.value()[i]], queries[i]));
-  }
-  return common::Status::OK();
-}
-
 void System::TallySubmit(const common::Status& st, BatchSubmitResult* out) {
   if (st.ok()) {
     ++out->admitted;
@@ -876,17 +846,45 @@ System::BatchSubmitResult System::SubmitQueries(
   // as per-query maintenance (the materialized graph is add-order
   // independent anyway).
   batch_install_active_ = true;
+  const bool routable = admission_ == nullptr && placement_map_ == nullptr;
   const bool grouped =
-      admission_ == nullptr && placement_map_ == nullptr &&
-      (config_.allocation == AllocationMode::kCoordinatorTree ||
-       config_.allocation == AllocationMode::kRoundRobin ||
-       config_.allocation == AllocationMode::kIsolatedZipf);
-  if (!grouped) {
-    // Tenant arbitration, placement maps, and interest-aware routing all
-    // feed install side effects back into the next query's decision —
-    // those modes keep the strict serial order.
+      routable && (config_.allocation == AllocationMode::kCoordinatorTree ||
+                   config_.allocation == AllocationMode::kRoundRobin ||
+                   config_.allocation == AllocationMode::kIsolatedZipf);
+  const bool joint = routable &&
+                     config_.allocation == AllocationMode::kGraphPartition &&
+                     queries.size() >= 2;
+  if (joint) {
+    // Section 3.2.2: partition the batch's query graph jointly across the
+    // alive entities. Installs run in submission order, not grouped:
+    // QueryStateTable insertion order feeds later repartition rounds.
+    auto t_route = std::chrono::steady_clock::now();
+    std::vector<common::EntityId> alive_ids;
+    for (int e = 0; e < num_entities(); ++e) {
+      if (alive_[e]) alive_ids.push_back(e);
+    }
+    partition::MultilevelPartitioner partitioner;
+    auto assignment = partitioner.Partition(
+        partition::QueryGraph::Build(queries, catalog_),
+        static_cast<int>(alive_ids.size()), config_.balance_tolerance);
+    for (const engine::Query& q : queries) AssignClient(q.id);
+    install_profile_.route_us +=
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - t_route)
+            .count();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      TallySubmit(assignment.ok()
+                      ? InstallOn(alive_ids[assignment.value()[i]], queries[i])
+                      : assignment.status(),
+                  &result);
+    }
+  } else if (!grouped) {
+    // Tenant arbitration, placement maps, interest-aware routing, and a
+    // lone graph-partition query (interest affinity) all feed install
+    // side effects back into the next query's decision — those keep the
+    // strict serial order.
     for (const engine::Query& q : queries) {
-      TallySubmit(SubmitQuery(q), &result);
+      TallySubmit(SubmitOne(q), &result);
     }
   } else {
     // Phase 1: route the whole batch up front. Client assignment and the
@@ -897,13 +895,8 @@ System::BatchSubmitResult System::SubmitQueries(
     auto t_route = std::chrono::steady_clock::now();
     std::vector<common::EntityId> target(queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
-      const engine::Query& q = queries[i];
-      if (!client_nodes_.empty() && client_of_query_.count(q.id) == 0) {
-        client_of_query_[q.id] = next_client_;
-        next_client_ =
-            (next_client_ + 1) % static_cast<int>(client_nodes_.size());
-      }
-      target[i] = AllocateOne(q);
+      AssignClient(queries[i].id);
+      target[i] = AllocateOne(queries[i]);
     }
     // Phase 2: install grouped by target entity. The stable sort keeps
     // each entity's installs in submission order, so per-entity admission
@@ -1037,8 +1030,7 @@ int System::EvictEntity(common::EntityId entity) {
   // their retry timers run to max_retries against a known-dead peer.
   CancelPendingFor(entity);
   // Re-home its queries on the survivors. Re-homes that fail are kept in
-  // the unplaced queue and counted — a failed SubmitQuery used to drop
-  // the query with no error and no metric.
+  // the unplaced queue and counted, never dropped.
   std::vector<engine::Query> orphans;
   // Copy the member list first: Erase below mutates it mid-walk.
   const std::vector<common::QueryId> resident = query_state_.QueriesOn(entity);
@@ -1074,7 +1066,7 @@ int System::EvictEntity(common::EntityId entity) {
   }
   int rehomed = 0;
   for (const engine::Query& q : orphans) {
-    if (SubmitQuery(q).ok()) {
+    if (SubmitOne(q).ok()) {
       ++rehomed;
     } else {
       unplaced_[q.id] = q;
@@ -1230,7 +1222,7 @@ std::vector<common::QueryId> System::UnplacedQueries() const {
 int System::TryRehomeUnplaced() {
   int placed = 0;
   for (auto it = unplaced_.begin(); it != unplaced_.end();) {
-    if (SubmitQuery(it->second).ok()) {
+    if (SubmitOne(it->second).ok()) {
       ++placed;
       it = unplaced_.erase(it);
     } else {
@@ -1312,45 +1304,8 @@ void System::HandleSuspect(common::EntityId entity) {
   EvictEntity(entity);
 }
 
-void System::HeartbeatTick(double until) {
-  double next = simulator_->now() + detection_config_.heartbeat_period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, until]() {
-    for (int e = 0; e < num_entities(); ++e) {
-      if (departed_[e]) continue;
-      common::SimNodeId gw = entities_[e]->gateway_node();
-      // A crashed process sends nothing (distinct from sent-but-lost,
-      // which the injector drops and counts on the wire).
-      if (faults_ != nullptr && !faults_->IsNodeUp(gw)) continue;
-      sim::Message msg;
-      msg.from = gw;
-      msg.to = monitor_node_;
-      msg.type = kMsgHeartbeat;
-      msg.size_bytes = detection_config_.heartbeat_bytes;
-      msg.payload = HeartbeatEnvelope{static_cast<common::EntityId>(e)};
-      common::Status s = network_->Send(std::move(msg));
-      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-      failure_stats_.heartbeat_messages += 1;
-    }
-    HeartbeatTick(until);
-  });
-}
-
-void System::SweepTick(double until) {
-  double next = simulator_->now() + detection_config_.sweep_period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, until]() {
-    for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
-      HandleSuspect(suspect);
-    }
-    SweepTick(until);
-  });
-}
-
 void System::EnableFailureDetection(const FailureDetectionConfig& config,
                                     double until) {
-  DSPS_CHECK(config.heartbeat_period_s > 0);
-  DSPS_CHECK(config.sweep_period_s > 0);
   DSPS_CHECK(config.timeout_s > config.heartbeat_period_s);
   detection_config_ = config;
   coordinator::HeartbeatMonitor::Config monitor_config;
@@ -1373,8 +1328,29 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
     if (alive_[e] && !departed_[e]) monitor_.Register(e, now);
   }
   detection_active_ = true;
-  HeartbeatTick(until);
-  SweepTick(until);
+  SchedulePeriodic(config.heartbeat_period_s, until, [this] {
+    for (int e = 0; e < num_entities(); ++e) {
+      if (departed_[e]) continue;
+      common::SimNodeId gw = entities_[e]->gateway_node();
+      // A crashed process sends nothing (distinct from sent-but-lost,
+      // which the injector drops and counts on the wire).
+      if (faults_ != nullptr && !faults_->IsNodeUp(gw)) continue;
+      sim::Message msg;
+      msg.from = gw;
+      msg.to = monitor_node_;
+      msg.type = kMsgHeartbeat;
+      msg.size_bytes = detection_config_.heartbeat_bytes;
+      msg.payload = HeartbeatEnvelope{static_cast<common::EntityId>(e)};
+      common::Status s = network_->Send(std::move(msg));
+      DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
+      failure_stats_.heartbeat_messages += 1;
+    }
+  });
+  SchedulePeriodic(config.sweep_period_s, until, [this] {
+    for (common::EntityId suspect : monitor_.Sweep(simulator_->now())) {
+      HandleSuspect(suspect);
+    }
+  });
 }
 
 void System::ScheduleCrash(common::EntityId entity, double crash_at,
@@ -1629,18 +1605,23 @@ void System::MaintenanceRound() {
   }
 }
 
-void System::EnableMaintenance(double period_s, double until) {
+void System::SchedulePeriodic(double period_s, double until,
+                              std::function<void()> fn) {
   DSPS_CHECK(period_s > 0);
   double next = simulator_->now() + period_s;
   if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    MaintenanceRound();
-    EnableMaintenance(period_s, until);
+  simulator_->ScheduleAt(next, [this, period_s, until,
+                                fn = std::move(fn)]() mutable {
+    fn();
+    SchedulePeriodic(period_s, until, std::move(fn));
   });
 }
 
+void System::EnableMaintenance(double period_s, double until) {
+  SchedulePeriodic(period_s, until, [this] { MaintenanceRound(); });
+}
+
 Auditor* System::EnableAudit(double period_s, double until, bool fatal) {
-  DSPS_CHECK(period_s > 0);
   if (auditor_ == nullptr) {
     Auditor::Config cfg;
     cfg.fatal = fatal;
@@ -1648,22 +1629,12 @@ Auditor* System::EnableAudit(double period_s, double until, bool fatal) {
     cfg.flight = config_.flight;
     auditor_ = std::make_unique<Auditor>(this, cfg);
   }
-  AuditTick(period_s, until);
+  SchedulePeriodic(period_s, until, [this] { auditor_->RunOnce(); });
   return auditor_.get();
-}
-
-void System::AuditTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    auditor_->RunOnce();
-    AuditTick(period_s, until);
-  });
 }
 
 telemetry::Watchdog* System::EnableWatchdog(
     double period_s, double until, const SystemWatchdogConfig& wconfig) {
-  DSPS_CHECK(period_s > 0);
   if (watchdog_ == nullptr) {
     telemetry::Watchdog::Config cfg;
     cfg.metrics = config_.metrics;
@@ -1721,17 +1692,9 @@ telemetry::Watchdog* System::EnableWatchdog(
         },
         tuning);
   }
-  WatchdogTick(period_s, until);
+  SchedulePeriodic(period_s, until,
+                   [this] { watchdog_->Tick(simulator_->now()); });
   return watchdog_.get();
-}
-
-void System::WatchdogTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    watchdog_->Tick(simulator_->now());
-    WatchdogTick(period_s, until);
-  });
 }
 
 void System::RegisterSeriesProbes(telemetry::TimeSeriesRecorder* recorder) {
@@ -1822,36 +1785,17 @@ void System::RegisterSeriesProbes(telemetry::TimeSeriesRecorder* recorder) {
 void System::EnableTimeSeries(telemetry::TimeSeriesRecorder* recorder,
                               double period_s, double until) {
   DSPS_CHECK(recorder != nullptr);
-  DSPS_CHECK(period_s > 0);
   RegisterSeriesProbes(recorder);
   recorder->Sample(simulator_->now());
-  SampleTick(recorder, period_s, until);
-}
-
-void System::SampleTick(telemetry::TimeSeriesRecorder* recorder,
-                        double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, recorder, period_s, until]() {
+  SchedulePeriodic(period_s, until, [this, recorder] {
     recorder->Sample(simulator_->now());
-    SampleTick(recorder, period_s, until);
   });
 }
 
 void System::EnableElasticity(const tenant::ElasticityManager::Config& config,
                               double period_s, double until) {
-  DSPS_CHECK(period_s > 0);
   elasticity_ = std::make_unique<tenant::ElasticityManager>(config);
-  ElasticityTick(period_s, until);
-}
-
-void System::ElasticityTick(double period_s, double until) {
-  double next = simulator_->now() + period_s;
-  if (next > until) return;
-  simulator_->ScheduleAt(next, [this, period_s, until]() {
-    ElasticityRound();
-    ElasticityTick(period_s, until);
-  });
+  SchedulePeriodic(period_s, until, [this] { ElasticityRound(); });
 }
 
 int System::ElasticityRound() {

@@ -2,6 +2,7 @@
 #define DSPS_SYSTEM_SYSTEM_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -112,7 +113,9 @@ enum class AllocationMode {
   /// interest summaries, so overlapping queries co-locate (Section 3.2.2's
   /// goal at 3.2.1's cost).
   kCoordinatorInterest,
-  /// Batch weighted graph partitioning (Section 3.2.2) — interest-aware.
+  /// Weighted graph partitioning (Section 3.2.2) — interest-aware.
+  /// SubmitQueries partitions a span of two or more queries jointly; a
+  /// lone query goes to the entity with the best interest affinity.
   kGraphPartition,
   /// Round-robin baseline (no load or interest awareness).
   kRoundRobin,
@@ -144,13 +147,6 @@ class System {
     AllocationMode allocation = AllocationMode::kCoordinatorTree;
     /// Balance tolerance for graph-partition allocation.
     double balance_tolerance = 1.2;
-    /// Admission control: when positive, InstallOn rejects a query whose
-    /// declared load — added to the entity's committed CPU load and the
-    /// declared loads of its resident queries — would exceed this factor
-    /// times its total processor capacity (ResourceExhausted — the query
-    /// is reported, never silently dropped). 0 disables it (the seed
-    /// behavior: entities over-commit freely).
-    double admission_load_factor = 0.0;
     /// Engine family per entity: "basic", "batch", or "mixed" (entities
     /// alternate — the heterogeneity the loose coupling must tolerate).
     const char* engine_family = "mixed";
@@ -240,12 +236,17 @@ class System {
     /// more tenant specs activates the AdmissionController: submissions
     /// are arbitrated per tenant (admit / queue with bounded wait /
     /// degrade to a coarser interest box / reject) under `admission`'s
-    /// knobs, with `admission.load_factor` taking over the scalar
-    /// admission_load_factor's role. Left empty (the default), everything
-    /// runs as the single implicit tenant: no controller is allocated, no
-    /// RNG is drawn, no node is created — simulations are bit-identical
-    /// to a tenant-free build.
+    /// knobs. Left empty (the default), everything runs as the single
+    /// implicit tenant: no controller is allocated, no RNG is drawn, no
+    /// node is created — simulations are bit-identical to a tenant-free
+    /// build.
     std::vector<tenant::TenantSpec> tenants;
+    /// Admission knobs. `admission.load_factor` is the one capacity gate,
+    /// with or without tenants: when positive, InstallOn refuses
+    /// (ResourceExhausted, never a silent drop) a query whose declared
+    /// load would push the entity's committed load plus its residents'
+    /// declared loads past that factor times its processor capacity.
+    /// 0 (the default) turns it off: entities over-commit freely.
     tenant::AdmissionController::Config admission;
   };
 
@@ -254,22 +255,13 @@ class System {
   System& operator=(const System&) = delete;
 
   /// Registers stream generators (their streams enter the catalog, their
-  /// sources join the dissemination layer). Call before SubmitQuery.
+  /// sources join the dissemination layer). Call before submitting
+  /// queries.
   void AddStreams(std::vector<std::unique_ptr<workload::StreamGen>> gens);
 
-  /// Admits one query: allocates it to an entity (per the allocation
-  /// mode), installs it there, and updates the entity's dissemination
-  /// interest.
-  common::Status SubmitQuery(const engine::Query& query);
-
-  /// Admits a batch at once. Under kGraphPartition the whole batch is
-  /// partitioned jointly; other modes submit one by one.
-  common::Status SubmitBatch(const std::vector<engine::Query>& queries);
-
-  /// Outcome tally of a batched submission (SubmitQueries). Unlike
-  /// SubmitBatch, a refusal does not abort the batch: every query gets
-  /// its verdict, and `first_error` carries the first non-OK status for
-  /// diagnostics.
+  /// Outcome tally of a submission (SubmitQueries). A refusal does not
+  /// abort the batch: every query gets its verdict, and `first_error`
+  /// carries the first non-OK status for diagnostics.
   struct BatchSubmitResult {
     int64_t admitted = 0;
     /// Capacity refusals (ResourceExhausted) — expected under admission
@@ -279,26 +271,37 @@ class System {
     common::Status first_error = common::Status::OK();
   };
 
-  /// Batched install path: admits `queries` in order, deferring the
-  /// incremental query-graph deltas into one bulk pass at the end (the
-  /// materialized graph is order-independent, so this is observably
-  /// identical to per-query submission). When no admission controller or
-  /// placement map is active and allocation is routing-history-only
-  /// (coordinator tree / round-robin / zipf), the batch is additionally
-  /// routed up front and installed grouped by target entity — the
-  /// coordinator descent and the per-entity admission state stay
-  /// cache-warm across the group, which is what turns the metro-scale
-  /// install storm from O(batch · members) into O(batch). Outcomes are
-  /// identical to the serial loop: routing is install-independent in
-  /// those modes, and the grouping is a stable sort, so each entity sees
-  /// its installs in the original submission order.
+  /// The install path: admits `queries`, allocating each to an entity
+  /// (per the allocation mode), installing it there, and updating the
+  /// entity's dissemination interest. Query-graph deltas are deferred into
+  /// one bulk pass at the end (the materialized graph is order-
+  /// independent, so this equals per-query maintenance). Without an
+  /// admission controller or placement map the span is routed up front:
+  ///  - coordinator tree / round-robin / zipf: every query is routed, then
+  ///    installs run grouped by target entity (a stable sort, so each
+  ///    entity sees submission order), keeping the coordinator descent and
+  ///    per-entity admission state cache-warm — O(batch) instead of
+  ///    O(batch · members) at metro scale, with the serial loop's
+  ///    outcomes, since routing is install-independent in those modes.
+  ///  - graph partitioning, two or more queries: the span's query graph
+  ///    is partitioned jointly across the alive entities (Section 3.2.2)
+  ///    and installed in submission order.
+  /// Everything else — tenant arbitration, placement maps, interest-aware
+  /// routing, a lone graph-partition query (interest affinity) — runs the
+  /// strict serial loop: install side effects feed the next decision.
   BatchSubmitResult SubmitQueries(std::span<const engine::Query> queries);
 
-  /// Cumulative wall-clock profile of the install path (SubmitQuery /
-  /// SubmitQueries), for the install-storm benchmarks.
+  /// Admits one query: SubmitQueries over a span of one.
+  common::Status SubmitQuery(const engine::Query& query) {
+    return SubmitQueries({&query, 1}).first_error;
+  }
+
+  /// Cumulative wall-clock profile of the install path (SubmitQueries),
+  /// for the install-storm benchmarks.
   struct InstallProfile {
     int64_t installs = 0;      ///< InstallOn attempts (incl. refusals)
-    double route_us = 0.0;     ///< allocation / coordinator descent
+    /// allocation: coordinator descent, or joint graph partitioning
+    double route_us = 0.0;
     double install_us = 0.0;   ///< admission gate + entity install
     double interest_us = 0.0;  ///< interest merge + (re)publication
     double graph_us = 0.0;     ///< query-graph deltas (incl. deferred)
@@ -598,10 +601,20 @@ class System {
  private:
   friend class Auditor;
   common::Status InstallOn(common::EntityId entity, const engine::Query& query);
+  /// One query's submission step: tenant arbitration for a brand-new
+  /// query, SubmitDirect otherwise. SubmitQueries' serial loop and the
+  /// internal re-homes (EvictEntity, TryRehomeUnplaced) call it.
+  common::Status SubmitOne(const engine::Query& query);
   /// The pre-tenant submission path: client assignment, allocation, and
   /// InstallOn (with placement-map standby walk). Tenant admission wraps
-  /// this for new submissions; internal re-homes call it directly.
+  /// this for new submissions.
   common::Status SubmitDirect(const engine::Query& query);
+  /// Gives a new query its client (round-robin; no-op without clients).
+  void AssignClient(common::QueryId query);
+  /// The one periodic scheduler: runs `fn` at now + period_s, then every
+  /// period_s after, while the next firing time is <= `until`.
+  void SchedulePeriodic(double period_s, double until,
+                        std::function<void()> fn);
   /// Weighted-fair arbitration of a brand-new submission (controller
   /// active, query not yet on the ledger).
   common::Status SubmitTenantQuery(const engine::Query& query);
@@ -611,7 +624,6 @@ class System {
   void OnAdmissionDeadline(common::QueryId query);
   /// Per-tenant result-latency accounting (admission controller active).
   void RecordTenantResult(common::QueryId query, double latency);
-  void ElasticityTick(double period_s, double until);
   bool GrowEntity(common::EntityId entity);
   bool ShrinkEntity(common::EntityId entity);
   common::EntityId AllocateOne(const engine::Query& query);
@@ -632,12 +644,6 @@ class System {
   void OnHeartbeat(common::EntityId entity);
   /// Sweep-detected suspect: record detection, evict, re-home.
   void HandleSuspect(common::EntityId entity);
-  void HeartbeatTick(double until);
-  void SweepTick(double until);
-  void AuditTick(double period_s, double until);
-  void WatchdogTick(double period_s, double until);
-  void SampleTick(telemetry::TimeSeriesRecorder* recorder, double period_s,
-                  double until);
   void ScheduleResultRetry(int64_t seq, double timeout_s);
   /// Declustered recovery pipeline (placement-map mode). Orphans are
   /// already in unplaced_ when these run; DispatchDeclusteredRehomes

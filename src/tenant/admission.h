@@ -11,8 +11,8 @@
 
 namespace dsps::tenant {
 
-/// Per-tenant weighted-fair admission control, replacing the scalar
-/// admission_load_factor gate. The controller is pure decision and
+/// Per-tenant weighted-fair admission control on top of the System's one
+/// capacity gate (Config::load_factor). The controller is pure decision and
 /// accounting logic — the System owns the actual pending queue, its
 /// deadline timers, and the install/retry machinery — so it consumes no
 /// randomness and schedules nothing, keeping tenant-enabled runs
@@ -31,9 +31,10 @@ namespace dsps::tenant {
 class AdmissionController {
  public:
   struct Config {
-    /// Fraction of per-entity capacity admissible (the scalar gate's
-    /// meaning, now applied under per-tenant arbitration).
-    double load_factor = 1.0;
+    /// Fraction of per-entity capacity admissible. The System reads it as
+    /// its capacity gate whether or not tenants are registered; 0 (the
+    /// default) turns the gate off.
+    double load_factor = 0.0;
     /// Bounded wait: a queued submission that finds no capacity within
     /// this window is evicted from the queue.
     double max_queue_wait_s = 2.0;

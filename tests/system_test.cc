@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
+#include "partition/partitioner.h"
+#include "partition/query_graph.h"
 #include "partition/repartitioner.h"
+#include "system/auditor.h"
 #include "system/system.h"
+#include "telemetry/timeseries.h"
 #include "workload/query_gen.h"
 #include "workload/stream_gen.h"
 
@@ -70,21 +75,119 @@ TEST(SystemTest, QueriesLandOnEntities) {
 }
 
 TEST(SystemTest, GraphPartitionBatchAllocation) {
-  System::Config cfg = SmallConfig(AllocationMode::kGraphPartition);
-  System sys(cfg);
-  sys.AddStreams(SmallStreams(2));
+  // A gap in the alive ids: partition indices must map onto {0, 2, 3}.
+  auto make = [] {
+    auto sys = std::make_unique<System>(
+        SmallConfig(AllocationMode::kGraphPartition));
+    sys->AddStreams(SmallStreams(2));
+    EXPECT_TRUE(sys->FailEntity(1).ok());
+    return sys;
+  };
+  std::unique_ptr<System> sys = make();
+  std::unique_ptr<System> serial = make();
   workload::QueryGen::Config qcfg;
   qcfg.join_prob = 0.0;
-  workload::QueryGen gen(qcfg, &sys.catalog(), common::Rng(5));
+  workload::QueryGen gen(qcfg, &sys->catalog(), common::Rng(5));
   auto queries = gen.Batch(16);
-  ASSERT_TRUE(sys.SubmitBatch(queries).ok());
-  // Every query got a home; homes cover multiple entities.
+  System::BatchSubmitResult result = sys->SubmitQueries(queries);
+  ASSERT_TRUE(result.first_error.ok());
+  EXPECT_EQ(result.admitted, 16);
+  ASSERT_TRUE(serial->SubmitQueries(queries).first_error.ok());
+  // Reference oracle: the joint Section 3.2.2 partition of the batch's
+  // query graph over the alive entities.
+  std::vector<common::EntityId> alive;
+  for (int e = 0; e < sys->num_entities(); ++e) {
+    if (sys->IsAlive(e)) alive.push_back(e);
+  }
+  partition::MultilevelPartitioner partitioner;
+  auto expected = partitioner.Partition(
+      partition::QueryGraph::Build(queries, sys->catalog()),
+      static_cast<int>(alive.size()), SmallConfig().balance_tolerance);
+  ASSERT_TRUE(expected.ok());
+  // Every query got its oracle home; homes cover multiple entities.
   std::set<common::EntityId> homes;
-  for (const auto& q : queries) {
-    ASSERT_NE(sys.EntityOf(q.id), common::kInvalidEntity);
-    homes.insert(sys.EntityOf(q.id));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    common::EntityId home = sys->EntityOf(queries[i].id);
+    ASSERT_NE(home, common::kInvalidEntity);
+    EXPECT_EQ(home, alive[expected.value()[i]]) << "query " << queries[i].id;
+    homes.insert(home);
   }
   EXPECT_GT(homes.size(), 1u);
+  // A lone query is placed by interest affinity, never by partitioning a
+  // one-vertex graph: a span of one duplicating a batch query's interest
+  // lands beside it, where a serial twin's SubmitQuery puts it too.
+  for (const engine::Query& original : queries) {
+    engine::Query twin = original;
+    twin.id = original.id + 1000;
+    ASSERT_TRUE(sys->SubmitQueries({&twin, 1}).first_error.ok());
+    ASSERT_TRUE(serial->SubmitQuery(twin).ok());
+    EXPECT_EQ(sys->EntityOf(twin.id), serial->EntityOf(twin.id));
+    EXPECT_EQ(sys->EntityOf(twin.id), sys->EntityOf(original.id))
+        << "query " << original.id;
+  }
+}
+
+TEST(SystemTest, GraphPartitionBatchShipsResultsToClients) {
+  System::Config cfg = SmallConfig(AllocationMode::kGraphPartition);
+  cfg.num_clients = 2;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  std::vector<engine::Query> queries;
+  for (int i = 1; i <= 16; ++i) queries.push_back(WideQuery(i, i % 2));
+  ASSERT_TRUE(sys.SubmitQueries(queries).first_error.ok());
+  sys.GenerateTraffic(1.0);
+  sys.RunUntil(2.0);
+  SystemMetrics m = sys.Collect();
+  EXPECT_GT(m.results, 0);
+  EXPECT_GT(m.client_results, 0);
+  // Every result of every query reached a client: a query installed
+  // without a client assignment would have its results dropped.
+  EXPECT_EQ(m.client_results, m.results);
+}
+
+TEST(SystemTest, PeriodicLoopsFireOnPeriodBoundaries) {
+  // Period 0.5 up to until = 2.0, a multiple of the period: every loop
+  // fires at 0.5, 1.0, 1.5 and 2.0 — first firing one period after the
+  // start, the last exactly at `until`, none after it.
+  System::Config cfg = SmallConfig();
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  for (int i = 1; i <= 8; ++i) {
+    ASSERT_TRUE(sys.SubmitQuery(WideQuery(i, i % 2)).ok());
+  }
+  const double period = 0.5, until = 2.0;
+  System::FailureDetectionConfig det;
+  det.heartbeat_period_s = period;
+  det.sweep_period_s = period;
+  det.timeout_s = 1.5;
+  sys.EnableFailureDetection(det, until);
+  sys.EnableMaintenance(period, until);
+  Auditor* auditor = sys.EnableAudit(period, until, /*fatal=*/false);
+  telemetry::Watchdog* watchdog = sys.EnableWatchdog(period, until);
+  telemetry::TimeSeriesRecorder recorder;
+  sys.EnableTimeSeries(&recorder, period, until);
+  // Every loaded entity is hot from the first observation and may grow
+  // every round: grow events count elasticity rounds exactly.
+  tenant::ElasticityManager::Config ecfg;
+  ecfg.high_watermark = 1e-12;
+  ecfg.low_watermark = 0.0;
+  ecfg.sustain_rounds = 1;
+  ecfg.max_processors = 64;
+  sys.EnableElasticity(ecfg, period, until);
+  int loaded = 0;
+  for (int e = 0; e < sys.num_entities(); ++e) {
+    if (sys.entity_at(e)->TotalCommittedLoad() > 0.0) ++loaded;
+  }
+  ASSERT_GT(loaded, 0);
+  sys.GenerateTraffic(3.0);
+  sys.RunUntil(3.0);
+  EXPECT_EQ(sys.maintenance_stats().rounds, 4);
+  EXPECT_EQ(auditor->sweeps(), 4);
+  EXPECT_EQ(auditor->violations(), 0);
+  EXPECT_EQ(sys.failure_stats().heartbeat_messages, 4 * sys.num_entities());
+  EXPECT_EQ(watchdog->ticks(), 4);
+  EXPECT_EQ(recorder.num_samples(), 1u + 4u);
+  EXPECT_EQ(sys.elasticity_stats().grow_events, 4 * loaded);
 }
 
 TEST(SystemTest, EarlyFilterCutsWanBytes) {
@@ -335,7 +438,7 @@ TEST(SystemTest, SubmitQueriesMatchesSerialUnderAdmissionRefusals) {
   // match the serial loop exactly, refusals included.
   auto make = [] {
     System::Config cfg = SmallConfig(AllocationMode::kRoundRobin);
-    cfg.admission_load_factor = 1.0;  // limit 2.0 per entity, unit loads
+    cfg.admission.load_factor = 1.0;  // limit 2.0 per entity, unit loads
     return cfg;
   };
   System serial(make());

@@ -96,9 +96,9 @@ TEST(TenantSystemTest, PassthroughWithoutTenantsAllocatesNothing) {
 // depending on rounding mode and optimization level.
 TEST(TenantSystemTest, AtCapacityRejectionIsDeterministicScalarPath) {
   System::Config cfg = TightConfig();
-  cfg.tenants.clear();                // scalar gate, pre-tenant semantics
+  cfg.tenants.clear();  // the load gate without a controller
   cfg.topology.num_entities = 1;
-  cfg.admission_load_factor = 1.0;
+  cfg.admission.load_factor = 1.0;
   System sys(cfg);
   sys.AddStreams(SmallStreams(1));
   ASSERT_TRUE(sys.SubmitQuery(TaggedQuery(1, 0, 0, 1.0)).ok());
@@ -110,6 +110,42 @@ TEST(TenantSystemTest, AtCapacityRejectionIsDeterministicScalarPath) {
     EXPECT_EQ(st.code(), common::StatusCode::kResourceExhausted);
   }
   EXPECT_EQ(sys.EntityOf(2), common::kInvalidEntity);
+}
+
+TEST(TenantSystemTest, GraphPartitionBatchGoesThroughAdmission) {
+  // With tenants registered, a graph-partition batch must still be
+  // arbitrated query by query: the controller sees every submission, so
+  // a later withdrawal settles against a standing query it admitted.
+  System::Config cfg = TightConfig();
+  cfg.allocation = AllocationMode::kGraphPartition;
+  cfg.admission.load_factor = 100.0;  // capacity never the binding limit
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(1));
+  Auditor* auditor = sys.EnableAudit(/*period_s=*/0.5, /*until=*/0.0,
+                                     /*fatal=*/false);
+  std::vector<engine::Query> queries;
+  for (int i = 1; i <= 6; ++i) {
+    queries.push_back(TaggedQuery(i, 1 + i % 2, 0, 0.1));
+  }
+  System::BatchSubmitResult result = sys.SubmitQueries(queries);
+  ASSERT_TRUE(result.first_error.ok());
+  EXPECT_EQ(result.admitted, 6);
+  ASSERT_TRUE(sys.RemoveQuery(3).ok());
+  EXPECT_TRUE(sys.admission()->CheckConservation().ok());
+  EXPECT_EQ(auditor->RunOnce(), 0);
+  EXPECT_EQ(auditor->violations(), 0);
+  int64_t submitted = 0, standing = 0, queued = 0, rejected = 0;
+  for (tenant::TenantId t : {1, 2}) {
+    const tenant::AdmissionController::Counters& c =
+        sys.admission()->counters(t);
+    submitted += c.submitted;
+    standing += c.standing;
+    queued += c.queued_now;
+    rejected += c.rejected;
+  }
+  const int64_t removed = 1;
+  EXPECT_EQ(submitted, 6);
+  EXPECT_EQ(submitted - removed, standing + queued + rejected);
 }
 
 TEST(TenantSystemTest, SubmitQueriesMatchesSerialOnTenantPath) {
