@@ -81,14 +81,16 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
       break;
     }
   }
-  Node node;
+  Node& node = nodes_[id];
   node.parent = parent;
   node.position = position;
-  nodes_[id] = std::move(node);
   if (parent == common::kInvalidEntity) {
     source_children_.push_back(id);
   } else {
-    nodes_[parent].children.push_back(id);
+    // The new child's empty aggregate adds an empty segment.
+    Node& p = nodes_[parent];
+    p.children.push_back(id);
+    p.seg.push_back(p.seg.back());
   }
   InvalidateRouteCache(parent);
   return common::Status::OK();
@@ -127,37 +129,31 @@ common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
   return common::Status::OK();
 }
 
-bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
-  Node& node = nodes_.at(id);
-  interest::InterestSet agg;
-  for (const Box& b : node.local) agg.Add(stream_, b);
+std::vector<Box> DisseminationTree::FreshAggregate(
+    const Node& node, std::vector<uint32_t>* seg) const {
+  std::vector<Box> boxes;
+  for (const Box& b : node.local) {
+    if (!interest::BoxEmpty(b)) boxes.push_back(b);
+  }
+  seg->assign({0, static_cast<uint32_t>(boxes.size())});
   for (common::EntityId child : node.children) {
-    for (const Box& b : nodes_.at(child).subtree) agg.Add(stream_, b);
+    const std::vector<Box>& sub = nodes_.at(child).subtree;
+    boxes.insert(boxes.end(), sub.begin(), sub.end());
+    seg->push_back(static_cast<uint32_t>(boxes.size()));
   }
-  agg.Simplify();
-  const std::vector<Box>* boxes = agg.boxes_for(stream_);
-  std::vector<Box> next = boxes == nullptr ? std::vector<Box>() : *boxes;
+  interest::SimplifyBoxes(&boxes, seg);
   if (config_.interest_budget > 0 &&
-      static_cast<int>(next.size()) > config_.interest_budget) {
-    next = interest::CoarsenBoxes(std::move(next), config_.interest_budget);
+      static_cast<int>(boxes.size()) > config_.interest_budget) {
+    boxes = interest::CoarsenBoxes(std::move(boxes), config_.interest_budget);
   }
-  // Cheap change detection: size + per-box bounds comparison.
-  bool changed = next.size() != node.subtree.size();
-  if (!changed) {
-    for (size_t i = 0; i < next.size() && !changed; ++i) {
-      if (next[i].size() != node.subtree[i].size()) {
-        changed = true;
-        break;
-      }
-      for (size_t d = 0; d < next[i].size(); ++d) {
-        if (next[i][d].lo != node.subtree[i][d].lo ||
-            next[i][d].hi != node.subtree[i][d].hi) {
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
+  return boxes;
+}
+
+bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
+  ++full_recomputes_;
+  Node& node = nodes_.at(id);
+  std::vector<Box> next = FreshAggregate(node, &node.seg);
+  bool changed = next != node.subtree;
   node.subtree = std::move(next);
   return changed;
 }
@@ -174,12 +170,217 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
   }
 }
 
+namespace {
+
+/// A change to one source of a node's aggregate (its local list or one
+/// child's aggregate): `removed` holds the boxes that left the source
+/// list, and [begin, end) of the new source list is the contiguous block
+/// of added boxes. Every other box of the new list was already in the old
+/// one, in the same order.
+struct Delta {
+  std::vector<Box> removed;
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+enum class DeltaResult { kUnchanged, kChanged, kRecompute };
+
+/// Splits the move from `old_local` to `next_local` into a Delta
+/// (consuming `old_local`'s removed boxes). Always succeeds; whether the
+/// change is monotone is checked by ApplyDelta.
+Delta DiffLocal(std::vector<Box> old_local,
+                const std::vector<Box>& next_local) {
+  // Greedy in-order alignment of the non-empty boxes: each next box
+  // matches the first equal old box still ahead, the old boxes skipped on
+  // the way are removed, and the rest of next_local is the added block.
+  Delta delta;
+  size_t i = 0;
+  size_t j = 0;
+  for (; j < next_local.size(); ++j) {
+    if (interest::BoxEmpty(next_local[j])) continue;
+    while (i < old_local.size() && old_local[i] != next_local[j]) {
+      if (!interest::BoxEmpty(old_local[i])) {
+        delta.removed.push_back(std::move(old_local[i]));
+      }
+      ++i;
+    }
+    if (i == old_local.size()) break;
+    ++i;
+  }
+  for (; i < old_local.size(); ++i) {
+    if (!interest::BoxEmpty(old_local[i])) {
+      delta.removed.push_back(std::move(old_local[i]));
+    }
+  }
+  delta.begin = j;
+  delta.end = next_local.size();
+  return delta;
+}
+
+/// Applies `delta` to segment `s` (0 = local, i + 1 = children[i]) of a
+/// node's `aggregate` with its `segments` starts, whose new source list
+/// is `src`: edits both in place and rewrites `delta` into the node's own
+/// delta for its parent. kRecompute (nothing edited) when the delta cannot
+/// be applied exactly: a non-monotone local change or a failed order check.
+DeltaResult ApplyDelta(std::vector<Box>* aggregate,
+                       std::vector<uint32_t>* segments, size_t s,
+                       const std::vector<Box>& src, Delta* delta) {
+  // The same boxes republished (e.g. an entity refreshing every stream).
+  if (delta->removed.empty() && delta->begin == delta->end) {
+    return DeltaResult::kUnchanged;
+  }
+  std::vector<Box>& agg = *aggregate;
+  std::vector<uint32_t>& seg = *segments;
+  const size_t n = agg.size();
+  enum : uint8_t { kStays, kLeft, kKilled };
+  std::vector<uint8_t> state(n, kStays);
+  // Order check: every box of segment s either left the source list or
+  // appears, in order, in src outside the added block. q counts the
+  // survivors ahead of the block.
+  size_t q = 0;
+  size_t j = 0;
+  for (size_t i = seg[s]; i < seg[s + 1]; ++i) {
+    if (std::find(delta->removed.begin(), delta->removed.end(), agg[i]) !=
+        delta->removed.end()) {
+      state[i] = kLeft;
+      continue;
+    }
+    for (;; ++j) {
+      if (j == delta->begin) j = delta->end;
+      if (j >= src.size() || src[j] == agg[i]) break;
+    }
+    if (j >= src.size()) return DeltaResult::kRecompute;
+    if (j++ < delta->begin) ++q;
+  }
+  // Monotonicity of a local change: a removed box that was in the
+  // aggregate must be covered by a box of the new list, or boxes it hid
+  // would reappear; and no identical copy may remain among the kept old
+  // boxes, which would come back in that copy's place. A child's
+  // aggregate is already simplified and inherits both properties from
+  // the level below (see DESIGN.md), so only the local segment checks.
+  for (size_t i = seg[0]; s == 0 && i < seg[1]; ++i) {
+    if (state[i] != kLeft) continue;
+    bool covered = false;
+    for (size_t x = 0; x < src.size(); ++x) {
+      if (!interest::BoxCovers(src[x], agg[i])) continue;
+      if (x < delta->begin && interest::BoxCovers(agg[i], src[x])) {
+        return DeltaResult::kRecompute;
+      }
+      covered = true;
+    }
+    if (!covered) return DeltaResult::kRecompute;
+  }
+  // Cover tests between the added boxes and the aggregate, in new-list
+  // order: a box "before" the block wins ties between identical copies.
+  std::vector<size_t> added;
+  for (size_t x = delta->begin; x < delta->end; ++x) {
+    if (!interest::BoxEmpty(src[x])) added.push_back(x);
+  }
+  // `at` counts the boxes that stay ahead of the block: the added boxes
+  // land there.
+  std::vector<char> dead(added.size(), 0);
+  size_t at = 0;
+  for (size_t i = 0, t = 0, in_s = 0; i < n; ++i) {
+    while (i >= seg[t + 1]) ++t;
+    if (state[i] == kLeft) continue;
+    const bool before = t == s ? in_s++ < q : t < s;
+    for (size_t a = 0; a < added.size(); ++a) {
+      const Box& d = src[added[a]];
+      const bool box_covers = interest::BoxCovers(agg[i], d);
+      const bool added_covers = interest::BoxCovers(d, agg[i]);
+      if (box_covers && (!added_covers || before)) dead[a] = 1;
+      if (added_covers && (!box_covers || !before)) state[i] = kKilled;
+    }
+    if (before && state[i] == kStays) ++at;
+  }
+  for (size_t a = 0; a < added.size(); ++a) {
+    for (size_t b = a + 1; b < added.size(); ++b) {
+      if (interest::BoxCovers(src[added[a]], src[added[b]])) {
+        dead[b] = 1;
+      } else if (interest::BoxCovers(src[added[b]], src[added[a]])) {
+        dead[a] = 1;
+      }
+    }
+  }
+  std::vector<Box> add;
+  for (size_t a = 0; a < added.size(); ++a) {
+    if (!dead[a]) add.push_back(src[added[a]]);
+  }
+  const size_t gone = n - static_cast<size_t>(
+                              std::count(state.begin(), state.end(), kStays));
+  if (add.empty() && gone == 0) return DeltaResult::kUnchanged;
+  // Equal counts may still rebuild the same list (an added box identical
+  // to the one it displaces), which is no change to report upstream.
+  bool changed = add.size() != gone;
+  for (size_t p = 0, k = 0; !changed && p < n; ++p) {
+    if (p >= at && p < at + add.size()) {
+      changed = add[p - at] != agg[p];
+      continue;
+    }
+    while (state[k] != kStays) ++k;
+    changed = agg[k++] != agg[p];
+  }
+  // Edit in place: compact the survivors, remap the segment starts, and
+  // insert the block; the boxes that went become the parent's delta.
+  delta->removed.clear();
+  size_t w = 0;
+  size_t b = 0;
+  auto remap = [&](size_t upto) {
+    for (; b < seg.size() && seg[b] <= upto; ++b) {
+      seg[b] = static_cast<uint32_t>(w + (b > s ? add.size() : 0));
+    }
+  };
+  for (size_t i = 0; i < n; ++i) {
+    remap(i);
+    if (state[i] != kStays) {
+      delta->removed.push_back(std::move(agg[i]));
+    } else {
+      if (w != i) agg[w] = std::move(agg[i]);
+      ++w;
+    }
+  }
+  remap(n);
+  agg.resize(w);
+  agg.insert(agg.begin() + static_cast<std::ptrdiff_t>(at),
+             std::make_move_iterator(add.begin()),
+             std::make_move_iterator(add.end()));
+  delta->begin = at;
+  delta->end = at + add.size();
+  return changed ? DeltaResult::kChanged : DeltaResult::kUnchanged;
+}
+
+}  // namespace
+
 int DisseminationTree::SetLocalInterest(common::EntityId id,
                                         std::vector<Box> boxes) {
   DSPS_CHECK_MSG(Contains(id), "unknown entity %d", id);
-  nodes_.at(id).local = std::move(boxes);
+  Node* node = &nodes_.at(id);
+  Delta delta = DiffLocal(std::move(node->local), boxes);
+  node->local = std::move(boxes);
   int updates = 0;
-  PropagateUp(id, &updates);
+  common::EntityId cur = id;
+  size_t s = 0;
+  const std::vector<Box>* src = &node->local;
+  // Coarsening is not monotone: under a budget every update recomputes.
+  while (config_.interest_budget <= 0) {
+    DeltaResult result =
+        ApplyDelta(&node->subtree, &node->seg, s, *src, &delta);
+    if (result == DeltaResult::kRecompute) break;
+    if (result == DeltaResult::kUnchanged) return updates;
+    ++updates;
+    common::EntityId parent = node->parent;
+    // `parent`'s routing cache indexes the changed child aggregate.
+    InvalidateRouteCache(parent);
+    if (parent == common::kInvalidEntity) return updates;
+    Node* up = &nodes_.at(parent);
+    s = 1 + static_cast<size_t>(
+                std::find(up->children.begin(), up->children.end(), cur) -
+                up->children.begin());
+    src = &node->subtree;
+    node = up;
+    cur = parent;
+  }
+  PropagateUp(cur, &updates);
   return updates;
 }
 
@@ -462,36 +663,15 @@ common::Status DisseminationTree::CheckInvariants() const {
       cur = nodes_.at(cur).parent;
     }
   }
-  // (3) Cached subtree aggregates: recompute each node's aggregate the
-  // way RecomputeSubtree does and require interval-exact equality.
+  // (3) Cached subtree aggregates and their segment starts: each must
+  // equal a from-scratch recomputation from local + children, interval-
+  // and order-exact (including coarsening).
   for (const auto& [id, node] : nodes_) {
-    interest::InterestSet agg;
-    for (const Box& b : node.local) agg.Add(stream_, b);
-    for (common::EntityId child : node.children) {
-      for (const Box& b : nodes_.at(child).subtree) agg.Add(stream_, b);
+    std::vector<uint32_t> seg;
+    if (FreshAggregate(node, &seg) != node.subtree) {
+      return violation("stale subtree aggregate");
     }
-    agg.Simplify();
-    const std::vector<Box>* boxes = agg.boxes_for(stream_);
-    std::vector<Box> expect = boxes == nullptr ? std::vector<Box>() : *boxes;
-    if (config_.interest_budget > 0 &&
-        static_cast<int>(expect.size()) > config_.interest_budget) {
-      expect =
-          interest::CoarsenBoxes(std::move(expect), config_.interest_budget);
-    }
-    if (expect.size() != node.subtree.size()) {
-      return violation("stale subtree aggregate (box count)");
-    }
-    for (size_t i = 0; i < expect.size(); ++i) {
-      if (expect[i].size() != node.subtree[i].size()) {
-        return violation("stale subtree aggregate (box dimensionality)");
-      }
-      for (size_t d = 0; d < expect[i].size(); ++d) {
-        if (expect[i][d].lo != node.subtree[i][d].lo ||
-            expect[i][d].hi != node.subtree[i][d].hi) {
-          return violation("stale subtree aggregate (interval bounds)");
-        }
-      }
-    }
+    if (seg != node.seg) return violation("stale aggregate segment starts");
   }
   // (4) Routing cache vs linear scan, probed at child subtree box centers
   // (where mismatches from a stale index are most likely to show). The

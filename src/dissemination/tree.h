@@ -63,6 +63,14 @@ class DisseminationTree {
   /// local queries' boxes) and re-propagates subtree aggregates to the
   /// root. Returns the number of ancestors whose aggregate changed (the
   /// interest-update messages sent upstream).
+  ///
+  /// A *monotone* change — every dropped box is covered by a box of the
+  /// new list, as after an install's interest merge — travels up as a
+  /// delta: each ancestor tests the added boxes against its aggregate and
+  /// its aggregate against the added boxes (O(n·|delta|), not the O(n^2)
+  /// re-simplification) and edits the aggregate in place. The result is
+  /// bit-identical to the from-scratch aggregate, box order included.
+  /// Anything else (a shrink, any interest_budget) recomputes.
   int SetLocalInterest(common::EntityId id, std::vector<interest::Box> boxes);
 
   /// Parent entity; kInvalidEntity when the parent is the source.
@@ -139,13 +147,25 @@ class DisseminationTree {
   /// source) into `stats`.
   void CollectIndexStats(interest::IndexStats* stats) const;
 
+  /// From-scratch aggregate recomputations so far (RecomputeSubtree
+  /// calls): zero while every update has taken the delta path.
+  int64_t full_recomputes() const { return full_recomputes_; }
+
  private:
   struct Node {
     common::EntityId parent = common::kInvalidEntity;  // invalid = source
     std::vector<common::EntityId> children;
     sim::Point position;
     std::vector<interest::Box> local;
+    /// The aggregate: local boxes, then each child's subtree aggregate in
+    /// child-list order, with every box covered by another dropped (of
+    /// identical copies the first is kept).
     std::vector<interest::Box> subtree;
+    /// Segment starts in `subtree`: [seg[0], seg[1]) holds the surviving
+    /// local boxes, [seg[i + 1], seg[i + 2]) those of children[i], and
+    /// seg.back() == subtree.size() (children.size() + 2 entries). Under
+    /// an interest_budget it describes the layout before coarsening.
+    std::vector<uint32_t> seg{0, 0};
     /// Routing cache: point index over the children's subtree aggregates
     /// (subscriber = child id), rebuilt lazily on the next early-filtered
     /// ForwardTargets through this node. Stays null below the box-count
@@ -155,9 +175,17 @@ class DisseminationTree {
     mutable bool route_cache_valid = false;
   };
 
-  /// Recomputes `id`'s subtree aggregate from local + children; returns
-  /// true if it changed (propagation continues upward).
+  /// The fallback path: recomputes `id`'s subtree aggregate from local +
+  /// children from scratch (FreshAggregate); returns true if it changed
+  /// (propagation continues upward). Runs after non-monotone local
+  /// changes, RemoveEntity / Reattach, under an interest_budget, and when
+  /// a delta's order check fails.
   bool RecomputeSubtree(common::EntityId id);
+  /// `node`'s aggregate computed from scratch, its segment starts in
+  /// `seg`. Shared by the fallback path and the auditor, which uses it as
+  /// an independent oracle for the delta path.
+  std::vector<interest::Box> FreshAggregate(const Node& node,
+                                            std::vector<uint32_t>* seg) const;
   void PropagateUp(common::EntityId id, int* updates);
   int FanoutOf(common::EntityId id) const;
   /// Drops `parent`'s routing cache (kInvalidEntity = the source's). Must
@@ -183,6 +211,7 @@ class DisseminationTree {
   /// allocation on the hot path).
   mutable std::vector<int64_t> match_scratch_;
   std::vector<interest::Box> empty_;
+  int64_t full_recomputes_ = 0;
 };
 
 }  // namespace dsps::dissemination

@@ -16,29 +16,36 @@ void InterestSet::MergeFrom(const InterestSet& other) {
   }
 }
 
-namespace {
-
-/// One stream's Simplify step (see InterestSet::Simplify). Factored out
-/// so the incremental merge applies the exact same reduction per stream.
-void SimplifyBoxes(std::vector<Box>* boxes) {
-  std::vector<Box> kept;
-  kept.reserve(boxes->size());
-  for (size_t i = 0; i < boxes->size(); ++i) {
-    bool covered = false;
-    for (size_t j = 0; j < boxes->size() && !covered; ++j) {
+void SimplifyBoxes(std::vector<Box>* boxes, std::vector<uint32_t>* bounds) {
+  const size_t n = boxes->size();
+  std::vector<char> kept(n, 1);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
       if (i == j) continue;
       // Tie-break identical boxes by index so exactly one copy survives.
       if (BoxCovers((*boxes)[j], (*boxes)[i]) &&
           (!BoxCovers((*boxes)[i], (*boxes)[j]) || j < i)) {
-        covered = true;
+        kept[i] = 0;
+        break;
       }
     }
-    if (!covered) kept.push_back((*boxes)[i]);
   }
-  *boxes = std::move(kept);
+  size_t w = 0;
+  size_t b = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (; bounds != nullptr && b < bounds->size() && (*bounds)[b] <= i; ++b) {
+      (*bounds)[b] = static_cast<uint32_t>(w);
+    }
+    if (kept[i]) {
+      if (w != i) (*boxes)[w] = std::move((*boxes)[i]);
+      ++w;
+    }
+  }
+  for (; bounds != nullptr && b < bounds->size(); ++b) {
+    (*bounds)[b] = static_cast<uint32_t>(w);
+  }
+  boxes->resize(w);
 }
-
-}  // namespace
 
 void InterestSet::MergeSimplifyFrom(const InterestSet& other,
                                     std::vector<common::StreamId>* changed) {

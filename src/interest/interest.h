@@ -94,6 +94,15 @@ class InterestSet {
   std::map<common::StreamId, std::vector<Box>> boxes_;
 };
 
+/// Simplify's one-stream kernel: drops, in place and keeping order, every
+/// box covered by another box of `boxes` (of identical copies the first
+/// survives). `bounds`, if given, holds ascending input positions and is
+/// rewritten to the matching output positions (the survivors before
+/// each), so a caller that concatenated segments can locate each one's
+/// survivors.
+void SimplifyBoxes(std::vector<Box>* boxes,
+                   std::vector<uint32_t>* bounds = nullptr);
+
 }  // namespace dsps::interest
 
 #endif  // DSPS_INTEREST_INTEREST_H_

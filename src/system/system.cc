@@ -840,6 +840,33 @@ System::BatchSubmitResult System::SubmitQueries(
     result.first_error = common::Status::FailedPrecondition("no entities");
     return result;
   }
+  // A query naming a stream outside the catalog is refused before
+  // admission or any entity sees it; the rest of the span goes on.
+  auto names_unknown_stream = [this](const engine::Query& q) {
+    for (const auto& [s, boxes] : q.interest.boxes_by_stream()) {
+      if (!boxes.empty() && !catalog_.Contains(s)) return true;
+    }
+    if (q.plan == nullptr) return false;
+    for (const engine::StreamBinding& b : q.plan->bindings()) {
+      if (!catalog_.Contains(b.stream)) return true;
+    }
+    return false;
+  };
+  if (std::any_of(queries.begin(), queries.end(), names_unknown_stream)) {
+    std::vector<engine::Query> known;
+    for (const engine::Query& q : queries) {
+      if (names_unknown_stream(q)) {
+        TallySubmit(common::Status::InvalidArgument("unknown stream"), &result);
+      } else {
+        known.push_back(q);
+      }
+    }
+    BatchSubmitResult rest = SubmitQueries(known);
+    result.admitted += rest.admitted;
+    result.rejected += rest.rejected;
+    result.failed += rest.failed;
+    return result;
+  }
   // The whole batch runs with graph-add deferral on; nothing inside a
   // submission reads graph_index_ or removes a query, so flushing the
   // accumulated deltas once at the end leaves the index in the same state

@@ -289,6 +289,8 @@ class System {
   /// Everything else — tenant arbitration, placement maps, interest-aware
   /// routing, a lone graph-partition query (interest affinity) — runs the
   /// strict serial loop: install side effects feed the next decision.
+  /// A query whose interest or plan names a stream outside the catalog is
+  /// refused up front (InvalidArgument) and the rest of the span goes on.
   BatchSubmitResult SubmitQueries(std::span<const engine::Query> queries);
 
   /// Admits one query: SubmitQueries over a span of one.

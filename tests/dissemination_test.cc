@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "dissemination/disseminator.h"
 #include "dissemination/tree.h"
+#include "interest/summarize.h"
 #include "sim/fault_injector.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -221,6 +225,222 @@ TEST(DisseminationTreeTest, RouteCacheSeesInterestShrink) {
   tree.SetLocalInterest(0, {});
   tree.ForwardTargets(common::kInvalidEntity, &p, true, &targets);
   EXPECT_TRUE(targets.empty());
+}
+
+// ------------------------------------------------- Delta-path property test
+
+/// Reference aggregation, written independently of the tree: non-empty
+/// local boxes, then each child's reference aggregate in child-list order,
+/// with every box covered by another dropped (of identical copies the
+/// first stays), coarsened to the budget if one is set.
+std::vector<Box> ReferenceSimplify(const std::vector<Box>& in) {
+  std::vector<Box> out;
+  for (size_t i = 0; i < in.size(); ++i) {
+    bool covered = false;
+    for (size_t j = 0; j < in.size() && !covered; ++j) {
+      covered = j != i && interest::BoxCovers(in[j], in[i]) &&
+                (j < i || !interest::BoxCovers(in[i], in[j]));
+    }
+    if (!covered) out.push_back(in[i]);
+  }
+  return out;
+}
+
+std::map<common::EntityId, std::vector<Box>> ReferenceAggregates(
+    const DisseminationTree& tree, int budget) {
+  std::map<common::EntityId, std::vector<Box>> agg;
+  std::function<void(common::EntityId)> visit = [&](common::EntityId id) {
+    std::vector<Box> in;
+    for (const Box& b : tree.LocalInterest(id)) {
+      if (!interest::BoxEmpty(b)) in.push_back(b);
+    }
+    for (common::EntityId child : tree.Children(id)) {
+      visit(child);
+      in.insert(in.end(), agg[child].begin(), agg[child].end());
+    }
+    std::vector<Box> out = ReferenceSimplify(in);
+    if (budget > 0 && static_cast<int>(out.size()) > budget) {
+      out = interest::CoarsenBoxes(std::move(out), budget);
+    }
+    agg[id] = std::move(out);
+  };
+  for (common::EntityId root : tree.Children(common::kInvalidEntity)) {
+    visit(root);
+  }
+  return agg;
+}
+
+/// Updates the reference would send for `id`'s change: ancestors (from
+/// `id` up) whose aggregate changed, up to the first unchanged one.
+int ReferenceUpdates(const DisseminationTree& tree, common::EntityId id,
+                     std::map<common::EntityId, std::vector<Box>>& before,
+                     std::map<common::EntityId, std::vector<Box>>& after) {
+  int updates = 0;
+  for (common::EntityId cur = id;
+       cur != common::kInvalidEntity && before[cur] != after[cur];
+       cur = tree.Parent(cur).value()) {
+    ++updates;
+  }
+  return updates;
+}
+
+/// Small integer-grid boxes, so covering, identical, and overlapping boxes
+/// are all common.
+Box GridBox(common::Rng& rng) {
+  Box box;
+  for (int d = 0; d < 2; ++d) {
+    double lo = static_cast<double>(rng.NextUint64(8));
+    box.push_back(Interval{lo, lo + static_cast<double>(rng.NextUint64(4))});
+  }
+  return box;
+}
+
+class DeltaPathTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DeltaPathTest, MatchesFromScratchReference) {
+  const int budget = GetParam();
+  constexpr int kNodes = 30;
+  int delta_updates = 0;  // Local updates that never recomputed.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    common::Rng rng(seed * 7919 + static_cast<uint64_t>(budget));
+    DisseminationTree::Config cfg;
+    cfg.policy = TreePolicy::kRandom;
+    cfg.max_fanout = 2 + static_cast<int>(rng.NextUint64(3));
+    cfg.interest_budget = budget;
+    cfg.seed = seed;
+    DisseminationTree tree(0, {0, 0}, cfg);
+    std::set<common::EntityId> members;
+    for (common::EntityId e = 0; e < kNodes; ++e) {
+      ASSERT_TRUE(tree.AddEntity(e, {rng.Uniform(0, 100), 0}).ok());
+      members.insert(e);
+    }
+    auto pick = [&]() {
+      auto it = members.begin();
+      std::advance(it, static_cast<long>(rng.NextUint64(members.size())));
+      return *it;
+    };
+    auto reference = ReferenceAggregates(tree, budget);
+    for (int op = 0; op < 300; ++op) {
+      const int kind = static_cast<int>(rng.NextUint64(10));
+      std::string what = "seed " + std::to_string(seed) + " op " +
+                         std::to_string(op) + " kind " + std::to_string(kind);
+      if (kind <= 6) {
+        common::EntityId id = pick();
+        std::vector<Box> local = tree.LocalInterest(id);
+        switch (kind) {
+          case 0:
+          case 1:
+          case 2: {  // Install-style merge: append, then simplify.
+            for (int k = 1 + static_cast<int>(rng.NextUint64(2)); k > 0; --k) {
+              local.push_back(GridBox(rng));
+            }
+            local = ReferenceSimplify(local);
+            break;
+          }
+          case 3:  // Shrink.
+            if (!local.empty()) {
+              local.erase(local.begin() + static_cast<long>(
+                                              rng.NextUint64(local.size())));
+            }
+            break;
+          case 4:  // Reorder.
+            for (size_t i = local.size(); i > 1; --i) {
+              std::swap(local[i - 1], local[rng.NextUint64(i)]);
+            }
+            break;
+          case 5: {  // Duplicates and empty boxes, anywhere.
+            Box extra = local.empty() || rng.Bernoulli(0.3)
+                            ? Box{Interval{1, 0}, Interval{0, 1}}
+                            : local[rng.NextUint64(local.size())];
+            local.insert(local.begin() + static_cast<long>(rng.NextUint64(
+                                             local.size() + 1)),
+                         extra);
+            break;
+          }
+          default:  // A raw, non-antichain list appended unsimplified.
+            local.push_back(GridBox(rng));
+            if (rng.Bernoulli(0.5)) local.push_back(local.front());
+            break;
+        }
+        const int64_t recomputes = tree.full_recomputes();
+        int updates = tree.SetLocalInterest(id, local);
+        if (tree.full_recomputes() == recomputes) ++delta_updates;
+        auto next = ReferenceAggregates(tree, budget);
+        EXPECT_EQ(updates, ReferenceUpdates(tree, id, reference, next))
+            << what;
+        reference = std::move(next);
+      } else if (kind == 7) {
+        common::EntityId id = pick();
+        ASSERT_TRUE(tree.RemoveEntity(id).ok());
+        members.erase(id);
+        reference = ReferenceAggregates(tree, budget);
+        if (members.size() < kNodes / 2) {
+          // Rejoin under a fresh id so the tree never runs dry.
+          common::EntityId fresh = kNodes + op;
+          ASSERT_TRUE(tree.AddEntity(fresh, {rng.Uniform(0, 100), 0}).ok());
+          members.insert(fresh);
+          reference = ReferenceAggregates(tree, budget);
+        }
+      } else if (kind == 8) {
+        common::EntityId fresh = kNodes + op;
+        ASSERT_TRUE(tree.AddEntity(fresh, {rng.Uniform(0, 100), 0}).ok());
+        members.insert(fresh);
+        reference = ReferenceAggregates(tree, budget);
+      } else {
+        common::EntityId id = pick();
+        common::EntityId to = rng.Bernoulli(0.2) ? common::kInvalidEntity
+                                                 : pick();
+        (void)tree.Reattach(id, to);  // Cycles / full fanout refuse.
+        reference = ReferenceAggregates(tree, budget);
+      }
+      for (common::EntityId id : members) {
+        ASSERT_EQ(tree.SubtreeInterest(id), reference[id])
+            << what << " entity " << id;
+      }
+      ASSERT_TRUE(tree.CheckInvariants().ok()) << what;
+    }
+  }
+  // Both paths are exercised: without a budget most local updates take
+  // the delta path; a budget forces every one to recompute.
+  if (budget == 0) {
+    EXPECT_GT(delta_updates, 400);
+  } else {
+    EXPECT_EQ(delta_updates, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Budgets, DeltaPathTest, ::testing::Values(0, 2));
+
+TEST(DisseminationTreeTest, InstallOnlySequenceNeverRecomputes) {
+  // Joins and install-style merges (append new boxes, simplify) are all
+  // monotone: every update takes the delta path.
+  DisseminationTree::Config cfg;
+  cfg.policy = TreePolicy::kRandom;
+  cfg.max_fanout = 3;
+  DisseminationTree tree(0, {0, 0}, cfg);
+  common::Rng rng(17);
+  common::EntityId joined = 0;
+  for (int op = 0; op < 400; ++op) {
+    if (joined < 30 && (joined < 2 || rng.Bernoulli(0.1))) {
+      ASSERT_TRUE(tree.AddEntity(joined++, {rng.Uniform(0, 100), 0}).ok());
+      continue;
+    }
+    common::EntityId id =
+        static_cast<common::EntityId>(rng.NextUint64(joined));
+    std::vector<Box> local = tree.LocalInterest(id);
+    local.push_back(GridBox(rng));
+    tree.SetLocalInterest(id, ReferenceSimplify(local));
+  }
+  auto reference = ReferenceAggregates(tree, 0);
+  for (common::EntityId id = 0; id < joined; ++id) {
+    EXPECT_EQ(tree.SubtreeInterest(id), reference[id]) << "entity " << id;
+  }
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_EQ(tree.full_recomputes(), 0);
+  // A shrink is not monotone and takes the fallback.
+  tree.SetLocalInterest(0, {});
+  EXPECT_GT(tree.full_recomputes(), 0);
+  EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
 // --------------------------------------------------------------- End-to-end

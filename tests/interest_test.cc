@@ -242,6 +242,18 @@ TEST(InterestSetTest, SimplifyDropsCoveredBoxes) {
   EXPECT_TRUE(set.Matches(0, &p3));
 }
 
+TEST(InterestSetTest, SimplifyBoxesRemapsSegmentBounds) {
+  // Two segments, [0, 3) and [3, 5): the kernel keeps order and reports
+  // where each segment's survivors start in the output.
+  std::vector<Box> boxes{Box{{0, 10}}, Box{{2, 5}}, Box{{20, 30}},
+                         Box{{0, 10}}, Box{{40, 50}}};
+  std::vector<uint32_t> bounds{0, 3, 5};
+  SimplifyBoxes(&boxes, &bounds);
+  EXPECT_EQ(boxes, (std::vector<Box>{Box{{0, 10}}, Box{{20, 30}},
+                                     Box{{40, 50}}}));
+  EXPECT_EQ(bounds, (std::vector<uint32_t>{0, 2, 3}));
+}
+
 /// Property: Simplify never changes Matches() on random point probes.
 TEST(InterestSetTest, SimplifyPreservesSemantics) {
   common::Rng rng(123);

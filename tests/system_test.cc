@@ -74,6 +74,43 @@ TEST(SystemTest, QueriesLandOnEntities) {
   EXPECT_EQ(sys.EntityOf(99), common::kInvalidEntity);
 }
 
+TEST(SystemTest, UnknownStreamSubmitLeavesNoTrace) {
+  // Streams 0-1 exist; 7 does not. A query bound to stream 0 whose
+  // interest also names stream 7, and one whose plan binds stream 7, are
+  // refused before any entity installs them.
+  System sys(SmallConfig());
+  sys.AddStreams(SmallStreams(2));
+  engine::Query by_interest = WideQuery(1, 0);
+  by_interest.interest.Add(7, interest::Box{{0, 1}, {0, 1}, {0, 1}});
+  engine::Query by_binding = WideQuery(2, 7);
+  by_binding.interest = WideQuery(2, 0).interest;
+  for (const engine::Query* q : {&by_interest, &by_binding}) {
+    EXPECT_EQ(sys.SubmitQuery(*q).code(), common::StatusCode::kInvalidArgument);
+    EXPECT_EQ(sys.EntityOf(q->id), common::kInvalidEntity);
+  }
+  // In a batch, only the offending query is refused.
+  std::vector<engine::Query> batch;
+  batch.push_back(WideQuery(3, 1));
+  batch.push_back(WideQuery(4, 7));
+  System::BatchSubmitResult r = sys.SubmitQueries(batch);
+  EXPECT_EQ(r.admitted, 1);
+  EXPECT_EQ(r.failed, 1);
+  EXPECT_EQ(r.first_error.code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(sys.EntityOf(3), common::kInvalidEntity);
+  EXPECT_EQ(sys.EntityOf(4), common::kInvalidEntity);
+  sys.GenerateTraffic(2.0);
+  sys.RunUntil(2.0);
+  Auditor::Config acfg;
+  acfg.fatal = false;
+  Auditor auditor(&sys, acfg);
+  EXPECT_EQ(auditor.RunOnce(), 0);
+  for (const Auditor::CheckStats& check : auditor.checks()) {
+    if (check.name != "conservation") continue;
+    EXPECT_EQ(check.runs, 1);
+    EXPECT_EQ(check.violations, 0) << check.last_detail;
+  }
+}
+
 TEST(SystemTest, GraphPartitionBatchAllocation) {
   // A gap in the alive ids: partition indices must map onto {0, 2, 3}.
   auto make = [] {
