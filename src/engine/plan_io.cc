@@ -161,6 +161,14 @@ common::Result<std::string> DescribeOp(const Operator& op) {
       std::string("operator has no declarative form: ") + op.name());
 }
 
+/// Rejects an out-of-range operator parameter up front, so a malformed
+/// plan is an InvalidArgument instead of a constructor DSPS_CHECK abort.
+common::Status Require(bool valid, const std::string& kind,
+                       const char* rule) {
+  if (valid) return common::Status::OK();
+  return common::Status::InvalidArgument(kind + ": " + rule);
+}
+
 common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
                                                  const Params& params) {
   std::unique_ptr<Operator> op;
@@ -171,7 +179,10 @@ common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
     if (!box.ok()) return box.status();
     auto parsed = ParseBox(box.value());
     if (!parsed.ok()) return parsed.status();
-    op = std::make_unique<FilterOp>(SplitInts(dims.value()),
+    std::vector<int> indices = SplitInts(dims.value());
+    DSPS_RETURN_IF_ERROR(Require(indices.size() == parsed.value().size(),
+                                 kind, "dims and box arity differ"));
+    op = std::make_unique<FilterOp>(std::move(indices),
                                     std::move(parsed).value());
   } else if (kind == "Map") {
     auto keep = Param(params, "keep");
@@ -186,6 +197,7 @@ common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
     if (!window.ok()) return window.status();
     if (!lkey.ok()) return lkey.status();
     if (!rkey.ok()) return rkey.status();
+    DSPS_RETURN_IF_ERROR(Require(window.value() > 0, kind, "window <= 0"));
     op = std::make_unique<WindowJoinOp>(window.value(), lkey.value(),
                                         rkey.value());
   } else if (kind == "WindowAggregate" || kind == "SlidingWindowAggregate") {
@@ -199,12 +211,14 @@ common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
     if (!value.ok()) return value.status();
     auto func = ParseFunc(func_s.value());
     if (!func.ok()) return func.status();
+    DSPS_RETURN_IF_ERROR(Require(window.value() > 0, kind, "window <= 0"));
     if (kind == "WindowAggregate") {
       op = std::make_unique<WindowAggregateOp>(window.value(), func.value(),
                                                key.value(), value.value());
     } else {
       auto slide = ParamDouble(params, "slide");
       if (!slide.ok()) return slide.status();
+      DSPS_RETURN_IF_ERROR(Require(slide.value() > 0, kind, "slide <= 0"));
       op = std::make_unique<SlidingWindowAggregateOp>(
           window.value(), slide.value(), func.value(), key.value(),
           value.value());
@@ -218,6 +232,8 @@ common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
     if (!k.ok()) return k.status();
     if (!key.ok()) return key.status();
     if (!value.ok()) return value.status();
+    DSPS_RETURN_IF_ERROR(Require(window.value() > 0, kind, "window <= 0"));
+    DSPS_RETURN_IF_ERROR(Require(k.value() >= 1, kind, "k < 1"));
     op = std::make_unique<TopKOp>(window.value(), k.value(), key.value(),
                                   value.value());
   } else if (kind == "Distinct") {
@@ -225,10 +241,12 @@ common::Result<std::unique_ptr<Operator>> MakeOp(const std::string& kind,
     auto key = ParamInt(params, "key");
     if (!window.ok()) return window.status();
     if (!key.ok()) return key.status();
+    DSPS_RETURN_IF_ERROR(Require(window.value() > 0, kind, "window <= 0"));
     op = std::make_unique<DistinctOp>(window.value(), key.value());
   } else if (kind == "Union") {
     auto inputs = ParamInt(params, "inputs");
     if (!inputs.ok()) return inputs.status();
+    DSPS_RETURN_IF_ERROR(Require(inputs.value() >= 1, kind, "inputs < 1"));
     op = std::make_unique<UnionOp>(inputs.value());
   } else {
     return common::Status::InvalidArgument("unknown operator kind: " + kind);

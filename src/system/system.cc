@@ -17,6 +17,20 @@ namespace dsps::system {
 System::System(const Config& config) : config_(config), rng_(config.seed) {
   simulator_ = std::make_unique<sim::Simulator>();
   network_ = std::make_unique<sim::Network>(simulator_.get());
+  result_channel_ = std::make_unique<sim::ReliableChannel>(
+      network_.get(), kMsgClientResultAck, config.result_retry_timeout_s);
+  sim::ReliableChannel::Hooks rehome_hooks;
+  rehome_hooks.retry = [this]() { failure_stats_.rehome_batch_retries += 1; };
+  // Retries exhausted (target unreachable but not evicted): the batch is
+  // abandoned. Its uninstalled queries are still in unplaced_, which
+  // TryRehomeUnplaced and every maintenance round retry — a lost batch
+  // is never a lost query.
+  rehome_hooks.exhausted = [this](const sim::Message&) {
+    failure_stats_.rehome_batches_cancelled += 1;
+  };
+  rehome_channel_ = std::make_unique<sim::ReliableChannel>(
+      network_.get(), kMsgRehomeAck, sim::kDefaultRetryTimeoutS,
+      std::move(rehome_hooks));
   common::Rng topo_rng = rng_.Fork(1);
   topology_ = sim::BuildTopology(network_.get(), config.topology, &topo_rng);
   placement_policy_ = std::make_unique<placement::PrAwarePlacement>();
@@ -138,20 +152,9 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
         const auto* env =
             std::any_cast<ClientResultEnvelope>(&msg.payload);
         if (env == nullptr) return;
-        if (env->seq != 0) {
-          // Reliable result: always ack (the gateway may be retrying
-          // because our previous ack was lost), then deliver each
-          // sequence number at most once — with the gateway's retries
-          // this makes result delivery exactly-once per result.
-          sim::Message ack;
-          ack.from = msg.to;
-          ack.to = msg.from;
-          ack.type = kMsgClientResultAck;
-          ack.size_bytes = 16;
-          ack.payload = ClientResultAckEnvelope{env->seq};
-          common::Status s = network_->Send(std::move(ack));
-          DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-          if (!seen_result_seqs_.insert(env->seq).second) return;
+        // Reliable result: acked, and delivered once per sequence number.
+        if (env->seq != 0 && !result_channel_->Receive(msg, env->seq)) {
+          return;
         }
         metrics_.client_results += 1;
         double client_latency =
@@ -181,14 +184,7 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
     double center = config_.topology.world_size / 2.0;
     rehome_node_ = network_->AddNode({center, center});
     network_->SetHandler(rehome_node_, [this](const sim::Message& msg) {
-      if (msg.type != kMsgRehomeAck) return;
-      const auto* ack = std::any_cast<RehomeAckEnvelope>(&msg.payload);
-      DSPS_CHECK(ack != nullptr);
-      auto it = pending_rehomes_.find(ack->seq);
-      if (it != pending_rehomes_.end()) {
-        simulator_->Cancel(it->second.timer);
-        pending_rehomes_.erase(it);
-      }
+      rehome_channel_->HandleAck(msg);
     });
   }
 
@@ -250,16 +246,7 @@ void System::InstallGatewayDispatcher(common::EntityId entity) {
 }
 
 bool System::HandleSystemMessage(const sim::Message& msg) {
-  if (msg.type == kMsgClientResultAck) {
-    const auto* ack = std::any_cast<ClientResultAckEnvelope>(&msg.payload);
-    DSPS_CHECK(ack != nullptr);
-    auto it = pending_results_.find(ack->seq);
-    if (it != pending_results_.end()) {
-      simulator_->Cancel(it->second.timer);
-      pending_results_.erase(it);
-    }
-    return true;
-  }
+  if (result_channel_->HandleAck(msg)) return true;
   if (msg.type == kMsgRehomeBatch) {
     const auto* env = std::any_cast<RehomeBatchEnvelope>(&msg.payload);
     DSPS_CHECK(env != nullptr);
@@ -268,17 +255,8 @@ bool System::HandleSystemMessage(const sim::Message& msg) {
     // control plane cancels the pending send; the queries stay
     // unplaced for re-dispatch to the next standby).
     if (!IsAlive(env->target)) return true;
-    // Always ack (the control plane may be retrying because our previous
-    // ack was lost), then install each sequence number at most once.
-    sim::Message ack;
-    ack.from = msg.to;
-    ack.to = msg.from;
-    ack.type = kMsgRehomeAck;
-    ack.size_bytes = 16;
-    ack.payload = RehomeAckEnvelope{env->seq};
-    common::Status s = network_->Send(std::move(ack));
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    if (!seen_rehome_seqs_.insert(env->seq).second) return true;
+    // Acked, and installed once per sequence number.
+    if (!rehome_channel_->Receive(msg, env->seq)) return true;
     // The survivor re-initializes one query's state at a time: installs
     // within a batch serialize at install_latency_s, while different
     // survivors work concurrently — recovery time scales with the
@@ -305,7 +283,7 @@ void System::ShipResultToClient(common::EntityId entity,
   ClientResultEnvelope env;
   env.result_timestamp = tuple.timestamp;
   env.query = query;
-  if (config_.reliable_results) env.seq = next_result_seq_++;
+  if (config_.reliable_results) env.seq = result_channel_->NextSeq();
   sim::Message msg;
   msg.from = entities_[entity]->gateway_node();
   msg.to = client_nodes_[it->second];
@@ -313,42 +291,12 @@ void System::ShipResultToClient(common::EntityId entity,
   msg.size_bytes = tuple.SizeBytes();
   msg.trace_id = tuple.trace_id;
   msg.payload = env;
-  if (config_.reliable_results) {
-    PendingResult pending;
-    pending.msg = msg;
-    pending.retries_left = config_.result_max_retries;
-    pending.timeout_s = config_.result_retry_timeout_s;
-    pending_results_[env.seq] = std::move(pending);
-    ScheduleResultRetry(env.seq, config_.result_retry_timeout_s);
-  }
+  // Results arm the retry timer before the first send (the other reliable
+  // paths arm after): same-instant event order, and with it every seeded
+  // run, depends on this order.
+  if (config_.reliable_results) result_channel_->Track(env.seq, msg);
   common::Status s = network_->Send(std::move(msg));
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-}
-
-void System::ScheduleResultRetry(int64_t seq, double timeout_s) {
-  // Cancellable: the ack path reclaims the timer's heap slot instead of
-  // letting a dead retry fire (at metro scale those dead timers dominated
-  // the event heap). The find() is kept as a backstop for entries erased
-  // without cancellation.
-  sim::TimerId timer = simulator_->ScheduleCancellable(timeout_s, [this,
-                                                                   seq]() {
-    auto it = pending_results_.find(seq);
-    if (it == pending_results_.end()) return;  // acked in the meantime
-    PendingResult& p = it->second;
-    if (p.retries_left <= 0) {
-      result_delivery_failures_ += 1;
-      pending_results_.erase(it);
-      return;
-    }
-    p.retries_left -= 1;
-    p.timeout_s *= config_.result_retry_backoff;
-    result_retries_ += 1;
-    common::Status s = network_->Send(p.msg);
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleResultRetry(seq, p.timeout_s);
-  });
-  auto it = pending_results_.find(seq);
-  if (it != pending_results_.end()) it->second.timer = timer;
 }
 
 entity::Entity::EngineFactory System::MakeEngineFactory(
@@ -1054,7 +1002,7 @@ int System::EvictEntity(common::EntityId entity) {
   }
   // Timer hygiene: the evicted process cannot retransmit, and batches
   // addressed to it will never be acked — cancel both instead of letting
-  // their retry timers run to max_retries against a known-dead peer.
+  // their retry timers run out against a known-dead peer.
   CancelPendingFor(entity);
   // Re-home its queries on the survivors. Re-homes that fail are kept in
   // the unplaced queue and counted, never dropped.
@@ -1105,33 +1053,24 @@ int System::EvictEntity(common::EntityId entity) {
 
 void System::CancelPendingFor(common::EntityId entity) {
   common::SimNodeId gw = entities_[entity]->gateway_node();
-  for (auto it = pending_results_.begin(); it != pending_results_.end();) {
-    if (it->second.msg.from == gw) {
-      result_retries_cancelled_ += 1;
-      simulator_->Cancel(it->second.timer);
-      it = pending_results_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  result_retries_cancelled_ += result_channel_->CancelIf(
+      [gw](const sim::Message& msg) { return msg.from == gw; });
   if (placement_map_ == nullptr) return;
   // Re-home batches in flight to the dead entity: their queries are still
   // in unplaced_ (installs remove them one by one), so cancelling loses
   // nothing — re-dispatch the uninstalled remainder to the next standby
   // target, which no longer includes `entity`.
   std::vector<common::QueryId> stranded;
-  for (auto it = pending_rehomes_.begin(); it != pending_rehomes_.end();) {
-    if (it->second.target == entity) {
-      for (common::QueryId qid : it->second.queries) {
-        if (unplaced_.count(qid) > 0) stranded.push_back(qid);
-      }
-      failure_stats_.rehome_batches_cancelled += 1;
-      simulator_->Cancel(it->second.timer);
-      it = pending_rehomes_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  failure_stats_.rehome_batches_cancelled +=
+      rehome_channel_->CancelIf([&](const sim::Message& msg) {
+        const auto& batch = std::any_cast<const RehomeBatchEnvelope&>(
+            msg.payload);
+        if (batch.target != entity) return false;
+        for (common::QueryId qid : batch.queries) {
+          if (unplaced_.count(qid) > 0) stranded.push_back(qid);
+        }
+        return true;
+      });
   if (!stranded.empty()) DispatchDeclusteredRehomes(std::move(stranded));
 }
 
@@ -1172,55 +1111,18 @@ void System::DispatchDeclusteredRehomes(std::vector<common::QueryId> orphans) {
 
 void System::SendRehomeBatch(common::EntityId target,
                              std::vector<common::QueryId> queries) {
-  RehomeBatchEnvelope env;
-  env.target = target;
-  env.queries = std::move(queries);
-  env.seq = next_rehome_seq_++;
+  const int64_t seq = rehome_channel_->NextSeq();
   sim::Message msg;
   msg.from = rehome_node_;
   msg.to = entities_[target]->gateway_node();
   msg.type = kMsgRehomeBatch;
   msg.size_bytes = 64 + config_.recovery.batch_bytes_per_query *
-                            static_cast<int64_t>(env.queries.size());
-  msg.payload = env;
-  PendingRehome pending;
-  pending.msg = msg;
-  pending.target = target;
-  pending.queries = env.queries;
-  pending.retries_left = config_.recovery.max_retries;
-  pending.timeout_s = config_.recovery.retry_timeout_s;
-  pending_rehomes_[env.seq] = std::move(pending);
+                            static_cast<int64_t>(queries.size());
+  msg.payload = RehomeBatchEnvelope{target, std::move(queries), seq};
   failure_stats_.rehome_batches += 1;
-  common::Status s = network_->Send(std::move(msg));
+  common::Status s = network_->Send(msg);
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-  ScheduleRehomeRetry(env.seq, config_.recovery.retry_timeout_s);
-}
-
-void System::ScheduleRehomeRetry(int64_t seq, double timeout_s) {
-  // Cancellable so acks and CancelPendingFor reclaim the heap slot.
-  sim::TimerId timer = simulator_->ScheduleCancellable(timeout_s, [this,
-                                                                   seq]() {
-    auto it = pending_rehomes_.find(seq);
-    if (it == pending_rehomes_.end()) return;  // acked or cancelled
-    PendingRehome& p = it->second;
-    if (p.retries_left <= 0) {
-      // Retries exhausted (target unreachable but not evicted): abandon
-      // the batch. Its uninstalled queries are still in unplaced_, which
-      // TryRehomeUnplaced and every maintenance round retry — a lost
-      // batch is never a lost query.
-      failure_stats_.rehome_batches_cancelled += 1;
-      pending_rehomes_.erase(it);
-      return;
-    }
-    p.retries_left -= 1;
-    p.timeout_s *= config_.recovery.retry_backoff;
-    failure_stats_.rehome_batch_retries += 1;
-    common::Status s = network_->Send(p.msg);
-    DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
-    ScheduleRehomeRetry(seq, p.timeout_s);
-  });
-  auto it = pending_rehomes_.find(seq);
-  if (it != pending_rehomes_.end()) it->second.timer = timer;
+  rehome_channel_->Track(seq, std::move(msg));
 }
 
 bool System::InstallFromUnplaced(common::EntityId target,
@@ -1674,18 +1576,15 @@ telemetry::Watchdog* System::EnableWatchdog(
     watchdog_->AddIncreaseDetector(
         "entity_loss",
         [this] { return static_cast<double>(evictions_total_); }, tuning);
-    // Retry storm: the three retransmission paths (client results,
-    // re-home batches, dissemination) summed into one cumulative count.
+    // Retry storm: retransmissions of the three reliable channels (client
+    // results, re-home batches, dissemination hops) in one cumulative
+    // count.
     watchdog_->AddRateDetector(
         "retry_storm",
         [this] {
-          double retries =
-              static_cast<double>(result_retries_) +
-              static_cast<double>(failure_stats_.rehome_batch_retries);
-          if (disseminator_ != nullptr) {
-            retries += static_cast<double>(disseminator_->retries_count());
-          }
-          return retries;
+          return static_cast<double>(result_channel_->retries() +
+                                     rehome_channel_->retries() +
+                                     disseminator_->retries_count());
         },
         wconfig.retry_storm_rate_per_s, tuning);
     watchdog_->AddRateDetector(

@@ -28,6 +28,7 @@
 #include "placement/placement.h"
 #include "placement/placement_map.h"
 #include "sim/fault_injector.h"
+#include "sim/reliable.h"
 #include "sim/topology.h"
 #include "system/auditor.h"
 #include "system/metrics.h"
@@ -45,14 +46,15 @@ namespace dsps::system {
 
 /// Message type for entity->client result delivery.
 inline constexpr int kMsgClientResult = 401;
-/// Client->entity ack of a reliable kMsgClientResult.
+/// Client->entity ack (sim::AckEnvelope) of a reliable kMsgClientResult.
 inline constexpr int kMsgClientResultAck = 402;
 /// Entity gateway -> failure monitor liveness beacon.
 inline constexpr int kMsgHeartbeat = 403;
 /// Control plane -> survivor gateway: batch of orphaned queries to
 /// re-install (declustered parallel recovery).
 inline constexpr int kMsgRehomeBatch = 404;
-/// Survivor gateway -> control plane ack of a kMsgRehomeBatch.
+/// Survivor gateway -> control plane ack (sim::AckEnvelope) of a
+/// kMsgRehomeBatch.
 inline constexpr int kMsgRehomeAck = 405;
 
 /// Payload of kMsgClientResult.
@@ -60,11 +62,6 @@ struct ClientResultEnvelope {
   double result_timestamp = 0.0;
   common::QueryId query = common::kInvalidQuery;
   /// Reliable-mode sequence number (0 = fire-and-forget).
-  int64_t seq = 0;
-};
-
-/// Payload of kMsgClientResultAck.
-struct ClientResultAckEnvelope {
   int64_t seq = 0;
 };
 
@@ -78,11 +75,6 @@ struct RehomeBatchEnvelope {
   common::EntityId target = common::kInvalidEntity;
   std::vector<common::QueryId> queries;
   /// Reliable sequence number (batches are acked, retried, deduplicated).
-  int64_t seq = 0;
-};
-
-/// Payload of kMsgRehomeAck.
-struct RehomeAckEnvelope {
   int64_t seq = 0;
 };
 
@@ -196,15 +188,14 @@ class System {
     /// bit-identical to a build without the fault layer.
     bool inject_faults = false;
     sim::FaultInjector::Config faults;
-    /// Reliable client-result delivery: results carry sequence numbers,
-    /// clients ack them, unacked results are retried with bounded
-    /// exponential backoff, and clients suppress duplicates — so each
-    /// query result reaches its client exactly once under loss. Off by
-    /// default (no acks, no timers, bit-identical traffic).
+    /// Reliable client-result delivery: results travel over a
+    /// sim::ReliableChannel (acked by the client, retransmitted with
+    /// backoff, deduplicated), so each query result reaches its client
+    /// exactly once under loss or counts in result_delivery_failures().
+    /// Off by default (no acks, no timers, bit-identical traffic).
     bool reliable_results = false;
-    double result_retry_timeout_s = 0.05;
-    double result_retry_backoff = 2.0;
-    int result_max_retries = 4;
+    /// First result retransmission fires this long after an unacked send.
+    double result_retry_timeout_s = sim::kDefaultRetryTimeoutS;
     /// Declustered placement (only read when allocation ==
     /// AllocationMode::kPlacementMap): ring/replica parameters of the
     /// placement map built over the topology's fault domains.
@@ -222,14 +213,10 @@ class System {
       /// (state re-initialization; queries of one batch serialize).
       double install_latency_s = 0.02;
       /// Wire size of one batch: 64 header bytes + this per query.
+      /// Batches always travel over a sim::ReliableChannel at its default
+      /// timeout; a batch whose retries run out leaves its queries in the
+      /// unplaced queue for the maintenance retry path — never lost.
       int64_t batch_bytes_per_query = 96;
-      /// Reliable batch delivery: unacked batches are retried with
-      /// bounded exponential backoff and deduplicated by sequence
-      /// number; exhausted retries leave the queries in the unplaced
-      /// queue for the maintenance retry path — never lost.
-      double retry_timeout_s = 0.05;
-      double retry_backoff = 2.0;
-      int max_retries = 4;
     };
     RecoveryConfig recovery;
     /// Multi-tenant admission control (src/tenant/). Registering one or
@@ -426,8 +413,9 @@ class System {
     /// Coordinator protocol messages spent on Leave/Join repairs.
     int64_t repair_messages = 0;
     /// Declustered recovery (placement-map mode): re-home batches sent to
-    /// survivors, their retransmissions, and batches cancelled because
-    /// their target died before acking (queries stay unplaced, retried).
+    /// survivors, their retransmissions, and batches abandoned unacked —
+    /// because their target died, or because their retries ran out (the
+    /// queries stay unplaced either way, and are retried).
     int64_t rehome_batches = 0;
     int64_t rehome_batch_retries = 0;
     int64_t rehome_batches_cancelled = 0;
@@ -435,6 +423,8 @@ class System {
     common::Histogram detection_latency;
   };
   const FailureStats& failure_stats() const { return failure_stats_; }
+  /// Re-home batches sent and not yet acked, exhausted, or cancelled.
+  size_t pending_rehome_batches() const { return rehome_channel_->pending(); }
 
   /// The failure monitor's network node (kInvalidSimNode until
   /// EnableFailureDetection ran). Exposed so fault scenarios can target
@@ -459,13 +449,13 @@ class System {
 
   /// Reliable client-result delivery statistics (zero unless
   /// Config::reliable_results).
-  int64_t result_retries() const { return result_retries_; }
+  int64_t result_retries() const { return result_channel_->retries(); }
   int64_t result_delivery_failures() const {
-    return result_delivery_failures_;
+    return result_channel_->exhausted();
   }
   /// Pending result retries cancelled because their sending entity was
-  /// evicted (the process is gone; its timers must not run to
-  /// max_retries against a client that already saw the failure).
+  /// evicted (the process is gone; its timers must not run out against
+  /// a client that already saw the failure).
   int64_t result_retries_cancelled() const {
     return result_retries_cancelled_;
   }
@@ -634,7 +624,8 @@ class System {
   /// Installs the combined gateway dispatcher (system acks -> entity ->
   /// dissemination) on the entity's gateway node.
   void InstallGatewayDispatcher(common::EntityId entity);
-  /// Consumes system-level messages (client-result acks). True if eaten.
+  /// Consumes system-level messages (client-result acks, re-home
+  /// batches). True if eaten.
   bool HandleSystemMessage(const sim::Message& msg);
   /// Shared eviction path of FailEntity and sweep detection: leaves the
   /// federation structures, purges the entity, re-homes its queries
@@ -646,7 +637,6 @@ class System {
   void OnHeartbeat(common::EntityId entity);
   /// Sweep-detected suspect: record detection, evict, re-home.
   void HandleSuspect(common::EntityId entity);
-  void ScheduleResultRetry(int64_t seq, double timeout_s);
   /// Declustered recovery pipeline (placement-map mode). Orphans are
   /// already in unplaced_ when these run; DispatchDeclusteredRehomes
   /// groups them by first alive standby target and either fans batches
@@ -655,7 +645,6 @@ class System {
   void DispatchDeclusteredRehomes(std::vector<common::QueryId> orphans);
   void SendRehomeBatch(common::EntityId target,
                        std::vector<common::QueryId> queries);
-  void ScheduleRehomeRetry(int64_t seq, double timeout_s);
   /// Installs one unplaced query on `target` if both still qualify (the
   /// query may have been removed or re-homed, the target evicted, while
   /// the batch was in flight). Returns true if it landed.
@@ -718,38 +707,16 @@ class System {
   FailureDetectionConfig detection_config_;
   common::SimNodeId monitor_node_ = common::kInvalidSimNode;
   FailureStats failure_stats_;
-  /// Reliable client-result state (untouched unless reliable_results).
-  struct PendingResult {
-    sim::Message msg;
-    int retries_left = 0;
-    double timeout_s = 0.0;
-    /// Outstanding retry timer, cancelled on ack so the heap slot is
-    /// reclaimed instead of firing into a dead entry.
-    sim::TimerId timer = sim::kInvalidTimer;
-  };
-  std::map<int64_t, PendingResult> pending_results_;
-  std::unordered_set<int64_t> seen_result_seqs_;
-  int64_t next_result_seq_ = 1;
-  int64_t result_retries_ = 0;
-  int64_t result_delivery_failures_ = 0;
+  /// Reliable client results (idle unless reliable_results).
+  std::unique_ptr<sim::ReliableChannel> result_channel_;
   int64_t result_retries_cancelled_ = 0;
   /// Declustered placement state (null / untouched unless allocation ==
   /// kPlacementMap). The map mirrors the System's alive set; rehome_node_
   /// is the control-plane node batches originate from.
   std::unique_ptr<placement::PlacementMap> placement_map_;
   common::SimNodeId rehome_node_ = common::kInvalidSimNode;
-  struct PendingRehome {
-    sim::Message msg;
-    common::EntityId target = common::kInvalidEntity;
-    std::vector<common::QueryId> queries;
-    int retries_left = 0;
-    double timeout_s = 0.0;
-    /// Outstanding retry timer, cancelled on ack / CancelPendingFor.
-    sim::TimerId timer = sim::kInvalidTimer;
-  };
-  std::map<int64_t, PendingRehome> pending_rehomes_;
-  std::unordered_set<int64_t> seen_rehome_seqs_;
-  int64_t next_rehome_seq_ = 1;
+  /// Re-home batches, rehome_node_ -> survivor gateways.
+  std::unique_ptr<sim::ReliableChannel> rehome_channel_;
   /// When one global serial chain is used (recovery.parallel == false),
   /// installs queue behind this simulated-time watermark.
   double serial_rehome_free_at_ = 0.0;

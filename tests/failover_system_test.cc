@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -409,6 +410,64 @@ TEST(FailoverSystemTest, CorrelatedDomainCrashLosesNoQueries) {
     EXPECT_TRUE(sys.IsAlive(home));
   }
   ExpectCleanAudit(&sys);
+}
+
+TEST(FailoverSystemTest, PlacementMapRecoveryBatchesSurviveLoss) {
+  // Re-home batches cross the same lossy WAN as tuples and results: lost
+  // batches and lost acks are retransmitted and deduplicated, so every
+  // orphan is installed exactly once and no batch is left pending.
+  System::Config cfg = MapConfig(/*num_entities=*/8, /*num_domains=*/4,
+                                 /*inject=*/true);
+  cfg.faults.loss_probability = 0.2;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  const int kQueries = 64;
+  for (int i = 1; i <= kQueries; ++i) {
+    ASSERT_TRUE(sys.SubmitQuery(WideQuery(i, i % 2, /*load=*/0.1)).ok());
+  }
+  std::vector<common::QueryId> orphans;
+  for (int i = 1; i <= kQueries; ++i) {
+    if (sys.EntityOf(i) == 0) orphans.push_back(i);
+  }
+  ASSERT_GT(orphans.size(), 0u);
+  // Six heartbeats in a row must vanish before a healthy entity is
+  // suspected, so the crash is (almost always) the only eviction.
+  System::FailureDetectionConfig detection = FastDetection();
+  detection.timeout_s = 0.6;
+  sys.EnableFailureDetection(detection, /*until=*/6.0);
+  sys.EnableAudit(/*period_s=*/0.05, /*until=*/8.0);
+  sys.ScheduleCrash(0, /*crash_at=*/1.0, /*recover_at=*/50.0);
+  sys.RunUntil(8.0);
+
+  const System::FailureStats& fs = sys.failure_stats();
+  EXPECT_FALSE(sys.IsAlive(0));
+  EXPECT_GT(fs.rehome_batches, 0);
+  EXPECT_GT(fs.rehome_batch_retries, 0);
+  EXPECT_EQ(sys.pending_rehome_batches(), 0u);
+  // Conservation: every admitted query is standing or unplaced, and each
+  // standing one is installed on exactly one entity — its recorded home.
+  std::map<common::QueryId, int> installs;
+  std::map<common::QueryId, common::EntityId> installed_on;
+  for (int e = 0; e < sys.num_entities(); ++e) {
+    for (common::QueryId q : sys.entity_at(e)->InstalledQueries()) {
+      installs[q] += 1;
+      installed_on[q] = e;
+    }
+  }
+  std::vector<common::QueryId> unplaced = sys.UnplacedQueries();
+  EXPECT_EQ(installs.size() + unplaced.size(),
+            static_cast<size_t>(kQueries));
+  for (const auto& [q, n] : installs) {
+    EXPECT_EQ(n, 1) << "query " << q << " installed " << n << " times";
+    EXPECT_EQ(sys.EntityOf(q), installed_on[q]) << "query " << q;
+  }
+  for (common::QueryId q : orphans) {
+    ASSERT_EQ(installs.count(q), 1u) << "orphan " << q << " not re-homed";
+    EXPECT_TRUE(sys.IsAlive(sys.EntityOf(q)));
+  }
+  ASSERT_NE(sys.auditor(), nullptr);
+  EXPECT_GT(sys.auditor()->sweeps(), 0);
+  EXPECT_EQ(sys.auditor()->violations(), 0);
 }
 
 TEST(FailoverSystemTest, PlacementMapRecoverySurvivesConcurrentChurn) {

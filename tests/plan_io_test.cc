@@ -108,6 +108,15 @@ TEST(PlanIoTest, ParserRejectsGarbage) {
   EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 Union inputs=1\nWHAT\n").ok());
   EXPECT_FALSE(
       ParsePlan("PLAN v1\nOP 0 Union inputs=1\nEDGE 0 7 0\n").ok());
+  // Out-of-range operator parameters are errors, not constructor aborts.
+  EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 Union inputs=0\n").ok());
+  EXPECT_FALSE(
+      ParsePlan("PLAN v1\nOP 0 TopK window=1 k=0 key=0 value=1\n").ok());
+  EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 Distinct window=0 key=0\n").ok());
+  EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 SlidingWindowAggregate window=1 "
+                         "slide=0 func=sum key=0 value=1\n")
+                   .ok());
+  EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 Filter dims=0,1 box=0:1\n").ok());
   // Valid plan must still validate (unfed port -> error).
   EXPECT_FALSE(ParsePlan("PLAN v1\nOP 0 Union inputs=1\n").ok());
   EXPECT_TRUE(

@@ -2,10 +2,12 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "sim/network.h"
+#include "sim/reliable.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
 
@@ -362,6 +364,157 @@ TEST(NetworkTest, DroppedWhenNoHandler) {
   ASSERT_TRUE(net.Send(m).ok());
   sim.Run();  // must not crash
   EXPECT_EQ(net.total_messages(), 1);
+}
+
+// --------------------------------------------------------- ReliableChannel
+
+constexpr int kData = 11;
+constexpr int kAck = 12;
+
+Message DataMessage(common::SimNodeId from, common::SimNodeId to) {
+  Message m;
+  m.from = from;
+  m.to = to;
+  m.type = kData;
+  m.size_bytes = 100;
+  return m;
+}
+
+/// Sends `msg` the way the reliable paths do: stamp, send, then track.
+int64_t SendTracked(Network* net, ReliableChannel* channel, Message msg) {
+  int64_t seq = channel->NextSeq();
+  msg.payload = seq;
+  EXPECT_TRUE(net->Send(msg).ok());
+  channel->Track(seq, std::move(msg));
+  return seq;
+}
+
+TEST(ReliableChannelTest, RetransmitsWithBackoffThenExhaustsOnce) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({0, 0});
+  net.SetLink(a, b, LinkParams{0.001, 1e9});
+  net.SetHandler(b, [](const Message&) {});  // never acks
+  std::vector<double> retries;
+  std::vector<double> exhausted;
+  ReliableChannel::Hooks hooks;
+  hooks.retry = [&] { retries.push_back(sim.now()); };
+  hooks.exhausted = [&](const Message& m) {
+    EXPECT_EQ(m.type, kData);
+    exhausted.push_back(sim.now());
+  };
+  ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05,
+                          std::move(hooks));
+  sim.RunUntil(1.0);  // the send happens at t = 1
+  SendTracked(&net, &channel, DataMessage(a, b));
+  sim.Run();
+
+  const std::vector<double> want = {1.05, 1.15, 1.35, 1.75};
+  ASSERT_EQ(retries.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(retries[i], want[i], 1e-9) << "retry " << i;
+  }
+  ASSERT_EQ(exhausted.size(), 1u);
+  EXPECT_NEAR(exhausted[0], 2.55, 1e-9);
+  EXPECT_EQ(channel.retries(), 4);
+  EXPECT_EQ(channel.exhausted(), 1);
+  EXPECT_EQ(channel.pending(), 0u);
+  EXPECT_EQ(net.total_messages(), 5);  // one send + four retransmissions
+}
+
+TEST(ReliableChannelTest, AckCancelsRetryTimer) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({0, 0});
+  net.SetLink(a, b, LinkParams{0.001, 1e9});
+  net.SetLink(b, a, LinkParams{0.001, 1e9});
+  ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
+  net.SetHandler(b, [&](const Message& m) {
+    EXPECT_TRUE(channel.Receive(m, std::any_cast<int64_t>(m.payload)));
+  });
+  net.SetHandler(a, [&](const Message& m) {
+    EXPECT_TRUE(channel.HandleAck(m));
+  });
+  SendTracked(&net, &channel, DataMessage(a, b));
+  EXPECT_EQ(sim.pending_events(), 2u);  // the delivery and the retry timer
+  EXPECT_EQ(channel.pending(), 1u);
+  sim.RunUntil(0.01);  // data lands at 1 ms, its ack at 2 ms
+  EXPECT_EQ(channel.pending(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);  // the timer left the heap
+  EXPECT_EQ(channel.retries(), 0);
+}
+
+TEST(ReliableChannelTest, DuplicateIsAckedAgainButNotFirst) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({0, 0});
+  ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
+  std::vector<int64_t> acked;
+  net.SetHandler(a, [&](const Message& m) {
+    EXPECT_EQ(m.type, kAck);
+    EXPECT_EQ(m.size_bytes, ReliableChannel::kAckBytes);
+    acked.push_back(std::any_cast<AckEnvelope>(m.payload).seq);
+  });
+  Message m = DataMessage(a, b);
+  EXPECT_TRUE(channel.Receive(m, 7));
+  EXPECT_FALSE(channel.Receive(m, 7));
+  EXPECT_TRUE(channel.Receive(m, 8));
+  sim.Run();
+  EXPECT_EQ(acked, (std::vector<int64_t>{7, 7, 8}));
+  EXPECT_EQ(channel.duplicates(), 1);
+}
+
+TEST(ReliableChannelTest, CancelIfErasesMatchesAndTheirTimers) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({0, 0});
+  auto c = net.AddNode({0, 0});
+  ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
+  for (common::SimNodeId to : {b, c, b}) {
+    Message m = DataMessage(a, to);
+    channel.Track(channel.NextSeq(), std::move(m));  // timers only
+  }
+  EXPECT_EQ(sim.pending_events(), 3u);
+  std::vector<common::SimNodeId> visited;
+  int cancelled = channel.CancelIf([&](const Message& m) {
+    visited.push_back(m.to);
+    return m.to == b;
+  });
+  EXPECT_EQ(cancelled, 2);
+  EXPECT_EQ(visited, (std::vector<common::SimNodeId>{b, c, b}));  // seq order
+  EXPECT_EQ(channel.pending(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  net.SetHandler(c, [](const Message&) {});
+  sim.Run();
+  // Only the survivor ever retransmitted; the cancelled ones never fired.
+  EXPECT_EQ(channel.retries(), 4);
+  EXPECT_EQ(channel.exhausted(), 1);
+}
+
+TEST(ReliableChannelTest, LossFreeSendCostsOneMessageAndOneAck) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({3, 4});
+  ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
+  int delivered = 0;
+  net.SetHandler(b, [&](const Message& m) {
+    if (channel.Receive(m, std::any_cast<int64_t>(m.payload))) ++delivered;
+  });
+  net.SetHandler(a, [&](const Message& m) { channel.HandleAck(m); });
+  SendTracked(&net, &channel, DataMessage(a, b));
+  sim.Run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(net.total_messages(), 2);
+  EXPECT_EQ(net.total_bytes(), 100 + ReliableChannel::kAckBytes);
+  EXPECT_EQ(channel.retries(), 0);
+  EXPECT_EQ(channel.exhausted(), 0);
+  EXPECT_EQ(channel.duplicates(), 0);
+  EXPECT_EQ(channel.pending(), 0u);
 }
 
 // ---------------------------------------------------------------- Topology
