@@ -369,8 +369,8 @@ void PrintE13() {
           dsps::telemetry::MakeLabels({{"scope", "probe"}}));
     }
   }
-  // Live-system index health (dissemination route caches + per-entity
-  // stream indexes) after the full install + traffic phases.
+  // Live-system index health (gridded dissemination route tables +
+  // per-entity stream indexes) after the full install + traffic phases.
   dsps::bench::ExportIndexStats(
       run.index_stats, &metrics,
       dsps::telemetry::MakeLabels({{"scope", "system"}}));

@@ -128,8 +128,8 @@ void PrintE1() {
         dsps::interest::IndexStats route_stats;
         DissemResult r = Run(entities, coverage, s.policy, s.filter, tuples,
                              77 + entities, &row_metrics, &route_stats);
-        // Routing-cache index health for the tree rows (the direct rows
-        // never build a route index).
+        // Gridded route-table health for the tree rows (the direct rows
+        // never build a route table).
         if (s.policy == TreePolicy::kClosestParent && s.filter &&
             entities == 128 && route_stats.indexes > 0) {
           // The row labels (entities/coverage/scheme) are appended when the

@@ -44,11 +44,20 @@ common::Status Disseminator::AddSource(common::StreamId stream,
 
 common::Status Disseminator::AddEntity(common::EntityId id,
                                        common::SimNodeId gateway) {
-  if (gateways_.count(id) > 0) {
+  if (id < 0 || gateway < 0) {
+    return common::Status::InvalidArgument("negative entity or node id");
+  }
+  if (GatewayOf(id) != common::kInvalidSimNode) {
     return common::Status::AlreadyExists("entity already registered");
   }
-  gateways_[id] = gateway;
-  by_node_[gateway] = id;
+  if (static_cast<size_t>(id) >= gateways_.size()) {
+    gateways_.resize(static_cast<size_t>(id) + 1, common::kInvalidSimNode);
+  }
+  if (static_cast<size_t>(gateway) >= by_node_.size()) {
+    by_node_.resize(static_cast<size_t>(gateway) + 1, common::kInvalidEntity);
+  }
+  gateways_[static_cast<size_t>(id)] = gateway;
+  by_node_[static_cast<size_t>(gateway)] = id;
   for (auto& [stream, tree] : trees_) {
     DSPS_RETURN_IF_ERROR(tree->AddEntity(id, network_->position(gateway)));
   }
@@ -59,8 +68,8 @@ common::Status Disseminator::AddEntity(common::EntityId id,
 }
 
 common::Status Disseminator::RemoveEntity(common::EntityId id) {
-  auto it = gateways_.find(id);
-  if (it == gateways_.end()) {
+  const common::SimNodeId gone = GatewayOf(id);
+  if (gone == common::kInvalidSimNode) {
     return common::Status::NotFound("entity not registered");
   }
   for (auto& [stream, tree] : trees_) {
@@ -73,7 +82,6 @@ common::Status Disseminator::RemoveEntity(common::EntityId id) {
   // gateway (the sender process is gone; its retransmissions would only
   // burn simulated bandwidth on a peer known dead — counted as
   // cancelled).
-  common::SimNodeId gone = it->second;
   channel_.CancelIf([this, gone](const sim::Message& msg) {
     if (msg.to == gone) {
       CountDeliveryFailure();
@@ -86,8 +94,8 @@ common::Status Disseminator::RemoveEntity(common::EntityId id) {
     }
     return true;
   });
-  by_node_.erase(it->second);
-  gateways_.erase(it);
+  by_node_[static_cast<size_t>(gone)] = common::kInvalidEntity;
+  gateways_[static_cast<size_t>(id)] = common::kInvalidSimNode;
   return common::Status::OK();
 }
 
@@ -96,7 +104,7 @@ common::Status Disseminator::SetEntityInterest(common::EntityId id,
                                                std::vector<interest::Box> boxes) {
   auto it = trees_.find(stream);
   if (it == trees_.end()) return common::Status::NotFound("unknown stream");
-  if (gateways_.count(id) == 0) {
+  if (GatewayOf(id) == common::kInvalidSimNode) {
     return common::Status::NotFound("unknown entity");
   }
   it->second->SetLocalInterest(id, std::move(boxes));
@@ -162,7 +170,7 @@ void Disseminator::Forward(const DisseminationTree& tree,
   for (common::EntityId target : targets) {
     sim::Message msg;
     msg.from = from_node;
-    msg.to = gateways_.at(target);
+    msg.to = gateways_[static_cast<size_t>(target)];
     msg.type = kMsgTupleForward;
     msg.size_bytes = size_bytes;
     msg.trace_id = trace_id;
@@ -235,9 +243,11 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
 bool Disseminator::HandleMessage(const sim::Message& msg) {
   if (channel_.HandleAck(msg)) return true;
   if (msg.type != kMsgTupleForward) return false;
-  auto node_it = by_node_.find(msg.to);
-  if (node_it == by_node_.end()) return false;
-  common::EntityId entity = node_it->second;
+  if (msg.to < 0 || static_cast<size_t>(msg.to) >= by_node_.size()) {
+    return false;
+  }
+  const common::EntityId entity = by_node_[static_cast<size_t>(msg.to)];
+  if (entity == common::kInvalidEntity) return false;
   const auto* env = std::any_cast<TupleEnvelope>(&msg.payload);
   DSPS_CHECK(env != nullptr);
   // Reliable hop: retries and network duplicates are acked but never

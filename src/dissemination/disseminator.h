@@ -124,8 +124,8 @@ class Disseminator {
   /// Sends awaiting an ack right now.
   size_t pending_reliable_count() const { return channel_.pending(); }
 
-  /// Aggregated routing-cache index statistics across every stream tree
-  /// (strategy mix, memory, spline health); feeds bench JSON and
+  /// Statistics of the gridded route tables across every stream tree
+  /// (see DisseminationTree::CollectIndexStats); feeds bench JSON and
   /// dsps_doctor.
   interest::IndexStats RouteIndexStats() const;
 
@@ -134,6 +134,12 @@ class Disseminator {
                common::SimNodeId from_node, const TupleEnvelope& env);
   sim::ReliableChannel::Hooks ChannelHooks();
   void CountDeliveryFailure();
+  /// The gateway of `id`; kInvalidSimNode if it is not registered.
+  common::SimNodeId GatewayOf(common::EntityId id) const {
+    return id >= 0 && static_cast<size_t>(id) < gateways_.size()
+               ? gateways_[static_cast<size_t>(id)]
+               : common::kInvalidSimNode;
+  }
 
   /// Cached per-(stream, tree-node) counters; node = kInvalidEntity is
   /// the source. Interned lazily on first traffic through the node.
@@ -150,8 +156,10 @@ class Disseminator {
       node_counters_;
   std::map<common::StreamId, std::unique_ptr<DisseminationTree>> trees_;
   std::map<common::StreamId, common::SimNodeId> source_nodes_;
-  std::map<common::EntityId, common::SimNodeId> gateways_;
-  std::map<common::SimNodeId, common::EntityId> by_node_;
+  /// Gateway of each entity, indexed by entity id (kInvalidSimNode = not
+  /// registered), and its inverse indexed by sim node id.
+  std::vector<common::SimNodeId> gateways_;
+  std::vector<common::EntityId> by_node_;
   DeliveryHandler delivery_;
   int64_t delivered_ = 0;
   int64_t forwards_ = 0;

@@ -1,7 +1,10 @@
 #include "dissemination/tree.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "interest/summarize.h"
@@ -22,15 +25,36 @@ DisseminationTree::DisseminationTree(common::StreamId stream,
   DSPS_CHECK(config.max_fanout >= 1);
 }
 
+const DisseminationTree::Node& DisseminationTree::At(
+    common::EntityId id) const {
+  const Node* node = Find(id);
+  DSPS_CHECK_MSG(node != nullptr, "unknown entity %d", id);
+  return *node;
+}
+
+DisseminationTree::Node& DisseminationTree::At(common::EntityId id) {
+  return const_cast<Node&>(std::as_const(*this).At(id));
+}
+
+template <typename Fn>
+void DisseminationTree::ForEachNode(Fn fn) const {
+  for (size_t id = 0; id < nodes_.size(); ++id) {
+    if (nodes_[id] != nullptr) {
+      fn(static_cast<common::EntityId>(id), *nodes_[id]);
+    }
+  }
+}
+
 int DisseminationTree::FanoutOf(common::EntityId id) const {
   if (id == common::kInvalidEntity) {
     return static_cast<int>(source_children_.size());
   }
-  return static_cast<int>(nodes_.at(id).children.size());
+  return static_cast<int>(At(id).children.size());
 }
 
 common::Status DisseminationTree::AddEntity(common::EntityId id,
                                             const Point& position) {
+  if (id < 0) return common::Status::InvalidArgument("negative entity id");
   if (Contains(id)) {
     return common::Status::AlreadyExists("entity already in tree");
   }
@@ -45,11 +69,11 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
       if (FanoutOf(common::kInvalidEntity) < config_.max_fanout) {
         candidates.push_back(common::kInvalidEntity);
       }
-      for (const auto& [eid, node] : nodes_) {
+      ForEachNode([&](common::EntityId eid, const Node& node) {
         if (static_cast<int>(node.children.size()) < config_.max_fanout) {
           candidates.push_back(eid);
         }
-      }
+      });
       if (candidates.empty()) {
         // Everyone full: attach to the source anyway (repair semantics).
         parent = common::kInvalidEntity;
@@ -66,9 +90,9 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
         parent = common::kInvalidEntity;
         found = true;
       }
-      for (const auto& [eid, node] : nodes_) {
+      ForEachNode([&](common::EntityId eid, const Node& node) {
         if (static_cast<int>(node.children.size()) >= config_.max_fanout) {
-          continue;
+          return;
         }
         double d = Distance(node.position, position);
         if (d < best_d) {
@@ -76,31 +100,36 @@ common::Status DisseminationTree::AddEntity(common::EntityId id,
           parent = eid;
           found = true;
         }
-      }
+      });
       if (!found) parent = common::kInvalidEntity;
       break;
     }
   }
-  Node& node = nodes_[id];
+  if (static_cast<size_t>(id) >= nodes_.size()) {
+    nodes_.resize(static_cast<size_t>(id) + 1);
+  }
+  nodes_[static_cast<size_t>(id)] = std::make_unique<Node>();
+  ++size_;
+  Node& node = *nodes_[static_cast<size_t>(id)];
   node.parent = parent;
   node.position = position;
   if (parent == common::kInvalidEntity) {
     source_children_.push_back(id);
   } else {
     // The new child's empty aggregate adds an empty segment.
-    Node& p = nodes_[parent];
+    Node& p = At(parent);
     p.children.push_back(id);
     p.seg.push_back(p.seg.back());
   }
-  InvalidateRouteCache(parent);
+  InvalidateRouteTable(parent);
   return common::Status::OK();
 }
 
 common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
-  Node node = std::move(it->second);
-  nodes_.erase(it);
+  if (!Contains(id)) return common::Status::NotFound("entity not in tree");
+  std::unique_ptr<Node> gone = std::move(nodes_[static_cast<size_t>(id)]);
+  --size_;
+  const Node& node = *gone;
   auto detach = [&](std::vector<common::EntityId>* siblings) {
     siblings->erase(std::remove(siblings->begin(), siblings->end(), id),
                     siblings->end());
@@ -108,19 +137,19 @@ common::Status DisseminationTree::RemoveEntity(common::EntityId id) {
   if (node.parent == common::kInvalidEntity) {
     detach(&source_children_);
   } else {
-    detach(&nodes_.at(node.parent).children);
+    detach(&At(node.parent).children);
   }
   // Children re-attach to the grandparent.
   for (common::EntityId child : node.children) {
-    nodes_.at(child).parent = node.parent;
+    At(child).parent = node.parent;
     if (node.parent == common::kInvalidEntity) {
       source_children_.push_back(child);
     } else {
-      nodes_.at(node.parent).children.push_back(child);
+      At(node.parent).children.push_back(child);
     }
   }
   // The parent's child list changed even if its aggregate did not.
-  InvalidateRouteCache(node.parent);
+  InvalidateRouteTable(node.parent);
   // Aggregates above the removal point change.
   int updates = 0;
   if (node.parent != common::kInvalidEntity) {
@@ -137,7 +166,7 @@ std::vector<Box> DisseminationTree::FreshAggregate(
   }
   seg->assign({0, static_cast<uint32_t>(boxes.size())});
   for (common::EntityId child : node.children) {
-    const std::vector<Box>& sub = nodes_.at(child).subtree;
+    const std::vector<Box>& sub = At(child).subtree;
     boxes.insert(boxes.end(), sub.begin(), sub.end());
     seg->push_back(static_cast<uint32_t>(boxes.size()));
   }
@@ -151,7 +180,7 @@ std::vector<Box> DisseminationTree::FreshAggregate(
 
 bool DisseminationTree::RecomputeSubtree(common::EntityId id) {
   ++full_recomputes_;
-  Node& node = nodes_.at(id);
+  Node& node = At(id);
   std::vector<Box> next = FreshAggregate(node, &node.seg);
   bool changed = next != node.subtree;
   node.subtree = std::move(next);
@@ -164,9 +193,9 @@ void DisseminationTree::PropagateUp(common::EntityId id, int* updates) {
     bool changed = RecomputeSubtree(cur);
     if (!changed) break;
     ++*updates;
-    cur = nodes_.at(cur).parent;
-    // `cur`'s routing cache indexes the changed child aggregate.
-    InvalidateRouteCache(cur);
+    cur = At(cur).parent;
+    // `cur`'s route table holds the changed child aggregate.
+    InvalidateRouteTable(cur);
   }
 }
 
@@ -354,9 +383,13 @@ DeltaResult ApplyDelta(std::vector<Box>* aggregate,
 int DisseminationTree::SetLocalInterest(common::EntityId id,
                                         std::vector<Box> boxes) {
   DSPS_CHECK_MSG(Contains(id), "unknown entity %d", id);
-  Node* node = &nodes_.at(id);
+  Node* node = &At(id);
   Delta delta = DiffLocal(std::move(node->local), boxes);
   node->local = std::move(boxes);
+  node->local_flat.Clear();
+  for (const Box& b : node->local) {
+    if (!interest::BoxEmpty(b)) node->local_flat.Append(b);
+  }
   int updates = 0;
   common::EntityId cur = id;
   size_t s = 0;
@@ -369,10 +402,10 @@ int DisseminationTree::SetLocalInterest(common::EntityId id,
     if (result == DeltaResult::kUnchanged) return updates;
     ++updates;
     common::EntityId parent = node->parent;
-    // `parent`'s routing cache indexes the changed child aggregate.
-    InvalidateRouteCache(parent);
+    // `parent`'s route table holds the changed child aggregate.
+    InvalidateRouteTable(parent);
     if (parent == common::kInvalidEntity) return updates;
-    Node* up = &nodes_.at(parent);
+    Node* up = &At(parent);
     s = 1 + static_cast<size_t>(
                 std::find(up->children.begin(), up->children.end(), cur) -
                 up->children.begin());
@@ -386,35 +419,34 @@ int DisseminationTree::SetLocalInterest(common::EntityId id,
 
 common::Result<common::EntityId> DisseminationTree::Parent(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
-  return it->second.parent;
+  const Node* node = Find(id);
+  if (node == nullptr) return common::Status::NotFound("entity not in tree");
+  return node->parent;
 }
 
 int DisseminationTree::ChildCount(common::EntityId parent) const {
   if (parent == common::kInvalidEntity) {
     return static_cast<int>(source_children_.size());
   }
-  auto it = nodes_.find(parent);
-  return it == nodes_.end() ? 0
-                            : static_cast<int>(it->second.children.size());
+  const Node* node = Find(parent);
+  return node == nullptr ? 0 : static_cast<int>(node->children.size());
 }
 
 std::vector<common::EntityId> DisseminationTree::Children(
     common::EntityId parent) const {
   if (parent == common::kInvalidEntity) return source_children_;
-  auto it = nodes_.find(parent);
-  if (it == nodes_.end()) return {};
-  return it->second.children;
+  const Node* node = Find(parent);
+  if (node == nullptr) return {};
+  return node->children;
 }
 
 common::Result<int> DisseminationTree::Depth(common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
+  const Node* node = Find(id);
+  if (node == nullptr) return common::Status::NotFound("entity not in tree");
   int depth = 1;
-  common::EntityId cur = it->second.parent;
+  common::EntityId cur = node->parent;
   while (cur != common::kInvalidEntity) {
-    cur = nodes_.at(cur).parent;
+    cur = At(cur).parent;
     ++depth;
   }
   return depth;
@@ -422,174 +454,242 @@ common::Result<int> DisseminationTree::Depth(common::EntityId id) const {
 
 int DisseminationTree::MaxDepth() const {
   int max_depth = 0;
-  for (const auto& [id, node] : nodes_) {
+  ForEachNode([&](common::EntityId id, const Node&) {
     auto d = Depth(id);
     if (d.ok()) max_depth = std::max(max_depth, d.value());
-  }
+  });
   return max_depth;
 }
 
 const std::vector<Box>& DisseminationTree::SubtreeInterest(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return empty_;
-  return it->second.subtree;
+  const Node* node = Find(id);
+  return node == nullptr ? empty_ : node->subtree;
 }
 
 const std::vector<Box>& DisseminationTree::LocalInterest(
     common::EntityId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return empty_;
-  return it->second.local;
+  const Node* node = Find(id);
+  return node == nullptr ? empty_ : node->local;
 }
 
-namespace {
-/// Below this many child subtree boxes the per-tuple linear scan is
-/// already cheaper than building and probing a grid, so no index is kept.
-constexpr size_t kRouteIndexMinBoxes = 32;
-}  // namespace
+void DisseminationTree::FlatBoxes::Append(const Box& box) {
+  if (count == 0) dims = static_cast<uint32_t>(box.size());
+  DSPS_CHECK_MSG(box.size() == dims, "box has %zu dims, expected %u",
+                 box.size(), dims);
+  for (const interest::Interval& iv : box) {
+    bounds.push_back(iv.lo);
+    bounds.push_back(iv.hi);
+  }
+  ++count;
+}
 
-void DisseminationTree::InvalidateRouteCache(common::EntityId parent) {
+void DisseminationTree::FlatBoxes::Clear() {
+  dims = 0;
+  count = 0;
+  bounds.clear();
+}
+
+bool DisseminationTree::FlatBoxes::Contains(uint32_t i,
+                                            const double* point) const {
+  // The same comparisons as Interval::Contains, so NaN never matches.
+  const double* b = bounds.data() + 2 * static_cast<size_t>(i) * dims;
+  for (uint32_t d = 0; d < dims; ++d) {
+    if (!(point[d] >= b[2 * d] && point[d] <= b[2 * d + 1])) return false;
+  }
+  return true;
+}
+
+bool DisseminationTree::FlatBoxes::AnyContains(const double* point) const {
+  for (uint32_t i = 0; i < count; ++i) {
+    if (Contains(i, point)) return true;
+  }
+  return false;
+}
+
+uint32_t DisseminationTree::RouteTable::CellOf(double v) const {
+  const double f = (v - grid_lo) * cells_per_unit;
+  if (!(f > 0)) return 0;  // below the grid, or NaN
+  const uint32_t last = cells() - 1;
+  return f >= static_cast<double>(last) ? last : static_cast<uint32_t>(f);
+}
+
+void DisseminationTree::InvalidateRouteTable(common::EntityId parent) {
   if (parent == common::kInvalidEntity) {
-    source_route_index_.reset();
-    source_route_cache_valid_ = false;
+    source_route_.valid = false;
     return;
   }
-  auto it = nodes_.find(parent);
-  if (it != nodes_.end()) {
-    it->second.route_index.reset();
-    it->second.route_cache_valid = false;
-  }
+  if (Node* node = Find(parent)) node->route.valid = false;
 }
 
-std::unique_ptr<interest::BoxIndex> DisseminationTree::BuildRouteIndex(
-    const std::vector<common::EntityId>& children) const {
-  // Domain: bounding box of every child's non-empty subtree box. All
-  // boxes of one stream share dimensionality (see interest/interval.h),
-  // so the bounding box is well-formed.
-  Box domain;
-  size_t total_boxes = 0;
+void DisseminationTree::BuildRouteTable(
+    const std::vector<common::EntityId>& children, RouteTable* table) const {
+  table->valid = true;
+  table->boxes.Clear();
+  table->owner.clear();
+  table->cell_start.clear();
+  table->cell_boxes.clear();
+  table->lookups = 0;
   for (common::EntityId child : children) {
-    for (const Box& b : nodes_.at(child).subtree) {
+    for (const Box& b : At(child).subtree) {
       if (interest::BoxEmpty(b)) continue;
-      ++total_boxes;
-      if (domain.empty()) {
-        domain = b;
-        continue;
-      }
-      for (size_t d = 0; d < domain.size(); ++d) {
-        domain[d].lo = std::min(domain[d].lo, b[d].lo);
-        domain[d].hi = std::max(domain[d].hi, b[d].hi);
-      }
+      table->boxes.Append(b);
+      table->owner.push_back(child);
     }
   }
-  if (total_boxes < kRouteIndexMinBoxes) return nullptr;
+  const FlatBoxes& boxes = table->boxes;
+  const uint32_t n = boxes.count;
+  if (n < kRouteIndexMinBoxes || boxes.dims == 0) return;
   // Subtree aggregates are unions of many query boxes, so they tend to
-  // span the full range of non-leading dimensions; indexing those only
-  // multiplies cell registrations without adding selectivity. Grid the
-  // leading dimension alone.
-  interest::BoxIndex::Config cfg;
-  cfg.index_dims = 1;
-  auto index = std::make_unique<interest::BoxIndex>(domain, cfg);
-  for (common::EntityId child : children) {
-    for (const Box& b : nodes_.at(child).subtree) {
-      if (interest::BoxEmpty(b)) continue;
-      index->Insert(child, b);
+  // span the full range of non-leading dimensions; gridding those would
+  // only multiply registrations. Grid the leading dimension alone, over
+  // the extent of its bounded values: NaN bounds and bounds at or beyond
+  // Interval::All()'s are left out and clamp to the edge cells.
+  const size_t stride = 2 * static_cast<size_t>(boxes.dims);
+  const double unbounded = interest::Interval::All().hi;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (uint32_t i = 0; i < n; ++i) {
+    for (double v : {boxes.bounds[i * stride], boxes.bounds[i * stride + 1]}) {
+      if (!(std::abs(v) < unbounded)) continue;
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
   }
-  return index;
+  // Cell count from the box count: about two boxes per cell, halved while
+  // wide boxes would register more than kMaxRegistrationsPerBox times
+  // each on average (never below kMinCells).
+  constexpr uint32_t kMinCells = 16;
+  constexpr uint32_t kMaxRegistrationsPerBox = 8;
+  const double span = hi - lo;
+  uint32_t cells = span > 0 ? std::max(kMinCells, std::bit_ceil(n / 2)) : 1;
+  table->grid_lo = lo;
+  // A box's cells; empty (first > last) for a NaN upper bound.
+  auto cell_range = [&](uint32_t i) {
+    return std::pair{table->CellOf(boxes.bounds[i * stride]),
+                     table->CellOf(boxes.bounds[i * stride + 1])};
+  };
+  for (;;) {
+    table->cell_start.assign(cells + 1, 0);
+    table->cells_per_unit = cells > 1 ? cells / span : 0.0;
+    size_t registrations = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const auto [first, last] = cell_range(i);
+      if (last >= first) registrations += last - first + 1;
+    }
+    if (cells <= kMinCells ||
+        registrations <= static_cast<size_t>(kMaxRegistrationsPerBox) * n) {
+      break;
+    }
+    cells /= 2;
+  }
+  // Counting sort into CSR: count per cell, prefix-sum, then place box
+  // ids in ascending order so each cell lists its boxes in child order.
+  for (uint32_t i = 0; i < n; ++i) {
+    const auto [first, last] = cell_range(i);
+    for (uint32_t c = first; c <= last; ++c) ++table->cell_start[c + 1];
+  }
+  for (uint32_t c = 0; c < cells; ++c) {
+    table->cell_start[c + 1] += table->cell_start[c];
+  }
+  table->cell_boxes.resize(table->cell_start[cells]);
+  std::vector<uint32_t> fill(table->cell_start.begin(),
+                             table->cell_start.end() - 1);
+  for (uint32_t i = 0; i < n; ++i) {
+    const auto [first, last] = cell_range(i);
+    for (uint32_t c = first; c <= last; ++c) table->cell_boxes[fill[c]++] = i;
+  }
 }
 
 void DisseminationTree::ForwardTargets(common::EntityId from,
                                        const double* point, bool early_filter,
                                        std::vector<common::EntityId>* out) const {
   out->clear();
-  const std::vector<common::EntityId>* children = nullptr;
-  std::unique_ptr<interest::BoxIndex>* cache = nullptr;
-  bool* valid = nullptr;
-  if (from == common::kInvalidEntity) {
-    children = &source_children_;
-    cache = &source_route_index_;
-    valid = &source_route_cache_valid_;
-  } else {
-    auto it = nodes_.find(from);
-    DSPS_DCHECK(it != nodes_.end());
-    if (it == nodes_.end()) return;
-    children = &it->second.children;
-    cache = &it->second.route_index;
-    valid = &it->second.route_cache_valid;
+  const std::vector<common::EntityId>* children = &source_children_;
+  RouteTable* table = &source_route_;
+  if (from != common::kInvalidEntity) {
+    const Node* node = Find(from);
+    DSPS_DCHECK(node != nullptr);
+    if (node == nullptr) return;
+    children = &node->children;
+    table = &node->route;
   }
   if (!early_filter) {
     *out = *children;
     return;
   }
   if (children->empty()) return;
-  if (!*valid) {
-    *cache = BuildRouteIndex(*children);
-    *valid = true;
-  }
-  if (*cache == nullptr) {
-    // Too few subtree boxes to be worth indexing: scan them directly.
-    for (common::EntityId child : *children) {
-      for (const Box& b : nodes_.at(child).subtree) {
-        if (interest::BoxContains(b, point)) {
-          out->push_back(child);
-          break;
-        }
-      }
+  if (!table->valid) BuildRouteTable(*children, table);
+  // Boxes are in child-list order, each child's contiguous, and a cell
+  // lists its boxes ascending: the first hit of each owner emits it, and
+  // its later boxes are skipped untested.
+  common::EntityId last = common::kInvalidEntity;
+  auto test = [&](uint32_t i) {
+    const common::EntityId owner = table->owner[i];
+    if (owner == last || !table->boxes.Contains(i, point)) return;
+    out->push_back(owner);
+    last = owner;
+  };
+  if (table->gridded()) {
+    ++table->lookups;
+    const uint32_t c = table->CellOf(point[0]);
+    for (uint32_t k = table->cell_start[c]; k < table->cell_start[c + 1];
+         ++k) {
+      test(table->cell_boxes[k]);
     }
-    return;
-  }
-  match_scratch_.clear();
-  (*cache)->Match(point, &match_scratch_);
-  // Match yields ascending entity ids; re-emit in child-list order so the
-  // output is bit-identical to the old per-child linear scan.
-  for (common::EntityId child : *children) {
-    if (std::binary_search(match_scratch_.begin(), match_scratch_.end(),
-                           static_cast<int64_t>(child))) {
-      out->push_back(child);
-    }
+  } else {
+    for (uint32_t i = 0; i < table->boxes.count; ++i) test(i);
   }
 }
 
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
-  if (source_route_index_ != nullptr) {
-    source_route_index_->AddStatsTo(stats);
-  }
-  for (const auto& [id, node] : nodes_) {
-    if (node.route_index != nullptr) node.route_index->AddStatsTo(stats);
-  }
+  auto add = [stats](const RouteTable& table) {
+    if (!table.valid || !table.gridded()) return;
+    ++stats->indexes;
+    ++stats->grid_indexes;
+    stats->boxes += table.boxes.count;
+    stats->lookups += table.lookups;
+    // Element counts, not capacities: deterministic, so bench baselines
+    // can pin it exactly.
+    stats->mem_bytes += static_cast<int64_t>(
+        table.boxes.bounds.size() * sizeof(double) +
+        table.owner.size() * sizeof(common::EntityId) +
+        (table.cell_start.size() + table.cell_boxes.size()) *
+            sizeof(uint32_t));
+  };
+  add(source_route_);
+  ForEachNode([&](common::EntityId, const Node& node) { add(node.route); });
 }
 
 const sim::Point& DisseminationTree::position(common::EntityId id) const {
-  auto it = nodes_.find(id);
-  DSPS_CHECK_MSG(it != nodes_.end(), "unknown entity %d", id);
-  return it->second.position;
+  const Node* node = Find(id);
+  DSPS_CHECK_MSG(node != nullptr, "unknown entity %d", id);
+  return node->position;
 }
 
 bool DisseminationTree::IsDescendant(common::EntityId ancestor,
                                      common::EntityId descendant) const {
-  auto it = nodes_.find(descendant);
-  if (it == nodes_.end()) return false;
-  common::EntityId cur = it->second.parent;
+  const Node* node = Find(descendant);
+  if (node == nullptr) return false;
+  common::EntityId cur = node->parent;
   while (cur != common::kInvalidEntity) {
     if (cur == ancestor) return true;
-    cur = nodes_.at(cur).parent;
+    cur = At(cur).parent;
   }
   return false;
 }
 
 common::Status DisseminationTree::Reattach(common::EntityId id,
                                            common::EntityId new_parent) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return common::Status::NotFound("entity not in tree");
+  Node* node = Find(id);
+  if (node == nullptr) return common::Status::NotFound("entity not in tree");
   if (new_parent == id || IsDescendant(id, new_parent)) {
     return common::Status::InvalidArgument("reattach would create a cycle");
   }
   if (new_parent != common::kInvalidEntity && !Contains(new_parent)) {
     return common::Status::NotFound("new parent not in tree");
   }
-  common::EntityId old_parent = it->second.parent;
+  common::EntityId old_parent = node->parent;
   if (old_parent == new_parent) return common::Status::OK();
   if (FanoutOf(new_parent) >= config_.max_fanout) {
     return common::Status::ResourceExhausted("new parent fanout full");
@@ -601,17 +701,17 @@ common::Status DisseminationTree::Reattach(common::EntityId id,
   if (old_parent == common::kInvalidEntity) {
     detach(&source_children_);
   } else {
-    detach(&nodes_.at(old_parent).children);
+    detach(&At(old_parent).children);
   }
-  it->second.parent = new_parent;
+  node->parent = new_parent;
   if (new_parent == common::kInvalidEntity) {
     source_children_.push_back(id);
   } else {
-    nodes_.at(new_parent).children.push_back(id);
+    At(new_parent).children.push_back(id);
   }
   // Both parents' child lists changed even if no aggregate does.
-  InvalidateRouteCache(old_parent);
-  InvalidateRouteCache(new_parent);
+  InvalidateRouteTable(old_parent);
+  InvalidateRouteTable(new_parent);
   int updates = 0;
   if (old_parent != common::kInvalidEntity) PropagateUp(old_parent, &updates);
   if (new_parent != common::kInvalidEntity) PropagateUp(new_parent, &updates);
@@ -622,72 +722,76 @@ common::Status DisseminationTree::CheckInvariants() const {
   auto violation = [](const std::string& what) {
     return common::Status::Internal("dissemination tree: " + what);
   };
+  std::vector<common::EntityId> ids;
+  ForEachNode([&](common::EntityId id, const Node&) { ids.push_back(id); });
   // (1) Parent/child symmetry and total membership: every node is a child
   // of its recorded parent exactly once, every listed child points back,
   // and no node appears in two child lists.
   size_t listed_children = source_children_.size();
   for (common::EntityId child : source_children_) {
-    auto it = nodes_.find(child);
-    if (it == nodes_.end()) return violation("source child not in tree");
-    if (it->second.parent != common::kInvalidEntity) {
+    const Node* node = Find(child);
+    if (node == nullptr) return violation("source child not in tree");
+    if (node->parent != common::kInvalidEntity) {
       return violation("source child has a non-source parent");
     }
   }
-  for (const auto& [id, node] : nodes_) {
+  for (common::EntityId id : ids) {
+    const Node& node = At(id);
     listed_children += node.children.size();
     for (common::EntityId child : node.children) {
-      auto it = nodes_.find(child);
-      if (it == nodes_.end()) return violation("child not in tree");
-      if (it->second.parent != id) {
+      const Node* c = Find(child);
+      if (c == nullptr) return violation("child not in tree");
+      if (c->parent != id) {
         return violation("child's parent link disagrees with child list");
       }
     }
     const std::vector<common::EntityId>& siblings =
-        node.parent == common::kInvalidEntity
-            ? source_children_
-            : nodes_.at(node.parent).children;
+        node.parent == common::kInvalidEntity ? source_children_
+                                              : At(node.parent).children;
     if (std::count(siblings.begin(), siblings.end(), id) != 1) {
       return violation("node not exactly once in its parent's child list");
     }
   }
-  if (listed_children != nodes_.size()) {
+  if (listed_children != size_) {
     return violation("child-list total != node count");
   }
   // (2) Acyclicity: every parent chain must reach the source in at most
   // size() hops (symmetry above already rules out forests).
-  for (const auto& [id, node] : nodes_) {
-    common::EntityId cur = node.parent;
+  for (common::EntityId id : ids) {
+    common::EntityId cur = At(id).parent;
     size_t hops = 0;
     while (cur != common::kInvalidEntity) {
-      if (++hops > nodes_.size()) return violation("parent chain has a cycle");
-      cur = nodes_.at(cur).parent;
+      if (++hops > size_) return violation("parent chain has a cycle");
+      cur = At(cur).parent;
     }
   }
   // (3) Cached subtree aggregates and their segment starts: each must
   // equal a from-scratch recomputation from local + children, interval-
   // and order-exact (including coarsening).
-  for (const auto& [id, node] : nodes_) {
+  for (common::EntityId id : ids) {
+    const Node& node = At(id);
     std::vector<uint32_t> seg;
     if (FreshAggregate(node, &seg) != node.subtree) {
       return violation("stale subtree aggregate");
     }
     if (seg != node.seg) return violation("stale aggregate segment starts");
   }
-  // (4) Routing cache vs linear scan, probed at child subtree box centers
-  // (where mismatches from a stale index are most likely to show). The
-  // ForwardTargets call may lazily build a cache — a deterministic,
-  // output-invariant side effect the hot path would perform anyway.
+  // (4) Route tables vs a linear BoxContains scan of the children's Box
+  // vectors, probed at child subtree box centers (where mismatches from a
+  // stale table are most likely to show). The ForwardTargets call may
+  // lazily build a table — a deterministic, output-invariant side effect
+  // the hot path would perform anyway.
   std::vector<common::EntityId> parents(1, common::kInvalidEntity);
-  for (const auto& [id, node] : nodes_) parents.push_back(id);
+  parents.insert(parents.end(), ids.begin(), ids.end());
   std::vector<common::EntityId> cached;
   constexpr size_t kMaxProbesPerParent = 16;
   for (common::EntityId parent : parents) {
     const std::vector<common::EntityId>& children =
         parent == common::kInvalidEntity ? source_children_
-                                         : nodes_.at(parent).children;
+                                         : At(parent).children;
     std::vector<std::vector<double>> probes;
     for (common::EntityId child : children) {
-      for (const Box& b : nodes_.at(child).subtree) {
+      for (const Box& b : At(child).subtree) {
         if (interest::BoxEmpty(b) || probes.size() >= kMaxProbesPerParent) {
           continue;
         }
@@ -702,7 +806,7 @@ common::Status DisseminationTree::CheckInvariants() const {
       ForwardTargets(parent, point.data(), /*early_filter=*/true, &cached);
       std::vector<common::EntityId> scanned;
       for (common::EntityId child : children) {
-        for (const Box& b : nodes_.at(child).subtree) {
+        for (const Box& b : At(child).subtree) {
           if (interest::BoxContains(b, point.data())) {
             scanned.push_back(child);
             break;
@@ -710,7 +814,7 @@ common::Status DisseminationTree::CheckInvariants() const {
         }
       }
       if (cached != scanned) {
-        return violation("routing cache disagrees with linear scan");
+        return violation("route table disagrees with linear scan");
       }
     }
   }
@@ -719,12 +823,8 @@ common::Status DisseminationTree::CheckInvariants() const {
 
 bool DisseminationTree::LocalMatch(common::EntityId id,
                                    const double* point) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return false;
-  for (const Box& b : it->second.local) {
-    if (interest::BoxContains(b, point)) return true;
-  }
-  return false;
+  const Node* node = Find(id);
+  return node != nullptr && node->local_flat.AnyContains(point);
 }
 
 }  // namespace dsps::dissemination

@@ -2,8 +2,8 @@
 #define DSPS_DISSEMINATION_TREE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -83,8 +83,8 @@ class DisseminationTree {
   common::Result<int> Depth(common::EntityId id) const;
 
   int MaxDepth() const;
-  size_t size() const { return nodes_.size(); }
-  bool Contains(common::EntityId id) const { return nodes_.count(id) > 0; }
+  size_t size() const { return size_; }
+  bool Contains(common::EntityId id) const { return Find(id) != nullptr; }
   int source_fanout() const {
     return static_cast<int>(source_children_.size());
   }
@@ -102,17 +102,21 @@ class DisseminationTree {
   /// Children of `from` (kInvalidEntity = source) that should receive a
   /// tuple with numeric values `point`. With early_filter, a child is
   /// included only if its subtree aggregate matches; otherwise all
-  /// children are included (forward-everything baseline). The per-child
-  /// matching runs against a cached interest::BoxIndex over the children's
-  /// subtree aggregates (rebuilt lazily after joins/leaves/reattaches and
-  /// aggregate changes), so the per-tuple cost is a grid-cell probe rather
-  /// than a scan of every child's box list; results keep child-list order,
-  /// bit-identical to the linear scan.
+  /// children are included (forward-everything baseline). Matching runs
+  /// against `from`'s route table: its children's non-empty subtree boxes
+  /// compiled into one contiguous array, rebuilt lazily after joins,
+  /// leaves, reattaches and aggregate changes. Tables of at least
+  /// kRouteIndexMinBoxes boxes add a grid over the leading dimension, so a
+  /// probe tests one cell's boxes instead of all of them. Either way the
+  /// result is in child-list order, bit-identical to a BoxContains scan of
+  /// each child's SubtreeInterest.
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
                       std::vector<common::EntityId>* out) const;
 
-  /// True if the entity's own interest matches the point (local delivery).
+  /// True if the entity's own interest matches the point (local delivery):
+  /// a scan of its non-empty local boxes, kept in the same flat layout as
+  /// the route tables. Same answer as BoxContains over LocalInterest.
   bool LocalMatch(common::EntityId id, const double* point) const;
 
   /// The entity's registered position.
@@ -137,26 +141,81 @@ class DisseminationTree {
   /// exactly once as a child of its recorded parent; (2) acyclicity —
   /// every parent chain reaches the source within size() hops; (3) each
   /// node's cached subtree aggregate equals a fresh recomputation from
-  /// local + children (interval-exact, including coarsening); (4) cached
-  /// early-filter routing equals a plain linear scan over child subtree
-  /// boxes at probe points. Internal error naming the first violation;
-  /// read-only apart from deterministically pre-building route caches.
+  /// local + children (interval-exact, including coarsening); (4) the
+  /// route tables' early-filter routing equals a BoxContains scan over
+  /// the children's subtree Box vectors at probe points. Internal error
+  /// naming the first violation; read-only apart from deterministically
+  /// pre-building route tables.
   common::Status CheckInvariants() const;
 
-  /// Accumulates the statistics of every live routing cache (per-node and
-  /// source) into `stats`.
+  /// Accumulates the statistics of every built, gridded route table
+  /// (per-node and source) into `stats`: each counts as one grid index,
+  /// with its boxes, its probes since it was built, and the bytes of its
+  /// flat arrays. Tables below the grid threshold are plain scans and are
+  /// not counted.
   void CollectIndexStats(interest::IndexStats* stats) const;
+
+  /// Route tables with fewer boxes than this are scanned linearly; larger
+  /// ones get the leading-dimension grid.
+  static constexpr size_t kRouteIndexMinBoxes = 32;
 
   /// From-scratch aggregate recomputations so far (RecomputeSubtree
   /// calls): zero while every update has taken the delta path.
   int64_t full_recomputes() const { return full_recomputes_; }
 
  private:
+  /// Boxes of one dimensionality in one contiguous array: with
+  /// k = i * dims + d, box i's dimension d is [bounds[2k], bounds[2k + 1]].
+  struct FlatBoxes {
+    uint32_t dims = 0;
+    uint32_t count = 0;
+    std::vector<double> bounds;
+
+    /// Appends `box`; all boxes share the first one's dimensionality.
+    void Append(const interest::Box& box);
+    void Clear();
+    /// BoxContains(box i, point), on the flat layout.
+    bool Contains(uint32_t i, const double* point) const;
+    bool AnyContains(const double* point) const;
+  };
+
+  /// One node's compiled routing (or the source's): its children's
+  /// non-empty subtree boxes in child-list order, each tagged with the
+  /// child owning it. Immutable once built; invalidated by the same events
+  /// that change the child list or a child's aggregate.
+  struct RouteTable {
+    bool valid = false;
+    FlatBoxes boxes;
+    std::vector<common::EntityId> owner;
+    /// Leading-dimension grid, present when boxes.count >=
+    /// kRouteIndexMinBoxes (CSR layout: cell c holds the box ids
+    /// cell_boxes[cell_start[c] .. cell_start[c + 1]), ascending). A box
+    /// registers with every cell its leading interval overlaps, so a
+    /// point's cell holds every box that can contain it.
+    std::vector<uint32_t> cell_start;
+    std::vector<uint32_t> cell_boxes;
+    double grid_lo = 0.0;
+    double cells_per_unit = 0.0;
+    /// Gridded probes since the table was built.
+    int64_t lookups = 0;
+
+    bool gridded() const { return !cell_start.empty(); }
+    uint32_t cells() const {
+      return static_cast<uint32_t>(cell_start.size()) - 1;
+    }
+    /// The grid cell of leading coordinate `v`. Clamps in double before
+    /// converting, so far-out bounds (Interval::All(), 1e300), infinities
+    /// and NaN land on an edge cell; monotone in `v`.
+    uint32_t CellOf(double v) const;
+  };
+
   struct Node {
     common::EntityId parent = common::kInvalidEntity;  // invalid = source
     std::vector<common::EntityId> children;
     sim::Point position;
     std::vector<interest::Box> local;
+    /// `local`'s non-empty boxes, flat, for LocalMatch.
+    FlatBoxes local_flat;
     /// The aggregate: local boxes, then each child's subtree aggregate in
     /// child-list order, with every box covered by another dropped (of
     /// identical copies the first is kept).
@@ -166,14 +225,26 @@ class DisseminationTree {
     /// seg.back() == subtree.size() (children.size() + 2 entries). Under
     /// an interest_budget it describes the layout before coarsening.
     std::vector<uint32_t> seg{0, 0};
-    /// Routing cache: point index over the children's subtree aggregates
-    /// (subscriber = child id), rebuilt lazily on the next early-filtered
-    /// ForwardTargets through this node. Stays null below the box-count
-    /// threshold where the linear scan is already cheaper than a rebuild;
-    /// route_cache_valid distinguishes that from "invalidated".
-    mutable std::unique_ptr<interest::BoxIndex> route_index;
-    mutable bool route_cache_valid = false;
+    /// Routing over the children, rebuilt lazily on the next
+    /// early-filtered ForwardTargets through this node.
+    mutable RouteTable route;
   };
+
+  /// The node of `id`, or null if it is not in the tree.
+  const Node* Find(common::EntityId id) const {
+    return id >= 0 && static_cast<size_t>(id) < nodes_.size()
+               ? nodes_[static_cast<size_t>(id)].get()
+               : nullptr;
+  }
+  Node* Find(common::EntityId id) {
+    return const_cast<Node*>(std::as_const(*this).Find(id));
+  }
+  /// The node of `id`, which must be in the tree.
+  Node& At(common::EntityId id);
+  const Node& At(common::EntityId id) const;
+  /// Calls fn(id, node) for every node in ascending id order.
+  template <typename Fn>
+  void ForEachNode(Fn fn) const;
 
   /// The fallback path: recomputes `id`'s subtree aggregate from local +
   /// children from scratch (FreshAggregate); returns true if it changed
@@ -188,28 +259,24 @@ class DisseminationTree {
                                             std::vector<uint32_t>* seg) const;
   void PropagateUp(common::EntityId id, int* updates);
   int FanoutOf(common::EntityId id) const;
-  /// Drops `parent`'s routing cache (kInvalidEntity = the source's). Must
+  /// Drops `parent`'s route table (kInvalidEntity = the source's). Must
   /// be called whenever `parent`'s child list or any child's subtree
   /// aggregate changes.
-  void InvalidateRouteCache(common::EntityId parent);
-  /// Builds a fresh routing index over `children`'s subtree aggregates.
-  /// Returns null when the children hold too few boxes for an index to
-  /// beat the plain linear scan.
-  std::unique_ptr<interest::BoxIndex> BuildRouteIndex(
-      const std::vector<common::EntityId>& children) const;
+  void InvalidateRouteTable(common::EntityId parent);
+  /// Compiles `children`'s subtree aggregates into `table`.
+  void BuildRouteTable(const std::vector<common::EntityId>& children,
+                       RouteTable* table) const;
 
   common::StreamId stream_;
   sim::Point source_position_;
   Config config_;
   common::Rng rng_;
-  std::map<common::EntityId, Node> nodes_;
+  /// Indexed by entity id; null where no entity is attached.
+  std::vector<std::unique_ptr<Node>> nodes_;
+  size_t size_ = 0;
   std::vector<common::EntityId> source_children_;
-  /// Routing cache for the source's children (see Node::route_index).
-  mutable std::unique_ptr<interest::BoxIndex> source_route_index_;
-  mutable bool source_route_cache_valid_ = false;
-  /// Scratch for ForwardTargets' cache lookups (avoids a per-tuple
-  /// allocation on the hot path).
-  mutable std::vector<int64_t> match_scratch_;
+  /// Route table for the source's children (see Node::route).
+  mutable RouteTable source_route_;
   std::vector<interest::Box> empty_;
   int64_t full_recomputes_ = 0;
 };

@@ -49,10 +49,8 @@ BoxIndex::BoxIndex(const Box& domain) : BoxIndex(domain, Config()) {}
 BoxIndex::BoxIndex(const Box& domain, const Config& config)
     : domain_(domain), config_(config) {
   DSPS_CHECK(config.cells_per_dim >= 1);
-  DSPS_CHECK(config.index_dims >= 1 && config.index_dims <= 2);
   DSPS_CHECK(config.spline_min_boxes >= 1);
-  dims_indexed_ = std::min<int>(config.index_dims,
-                                static_cast<int>(domain.size()));
+  dims_indexed_ = std::min<int>(2, static_cast<int>(domain.size()));
   DSPS_CHECK_MSG(dims_indexed_ >= 1, "domain must have >= 1 dimension");
   resolved_ = config.strategy == IndexStrategy::kAuto ? EnvIndexStrategy()
                                                       : config.strategy;
@@ -72,8 +70,12 @@ int BoxIndex::CellOf(int dim, double v) const {
   double len = iv.length();
   if (len <= 0) return 0;
   double frac = (v - iv.lo) / len;
-  int cell = static_cast<int>(frac * config_.cells_per_dim);
-  return std::clamp(cell, 0, config_.cells_per_dim - 1);
+  // Clamp in double before converting: a far-out bound (Interval::All(),
+  // 1e300) overflows int, and NaN fails every comparison.
+  double cell = frac * config_.cells_per_dim;
+  if (!(cell > 0)) return 0;
+  const int last = config_.cells_per_dim - 1;
+  return cell >= last ? last : static_cast<int>(cell);
 }
 
 int BoxIndex::FlatIndex(const double* point) const {

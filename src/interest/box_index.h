@@ -20,9 +20,8 @@ namespace dsps::interest {
 ///   threshold and pending/tombstone overlays for churn.
 /// - kAuto: start on the grid and switch to the spline once the box count
 ///   crosses `Config::spline_min_boxes` — small indexes (per-entity stream
-///   delegates, routing caches over a node's children) keep the cheap
-///   grid, while million-box structures (graph build, metro-scale routing)
-///   get the learned index. The `DSPS_INDEX` environment variable
+///   delegates) keep the cheap grid, while million-box structures (graph
+///   build) get the learned index. The `DSPS_INDEX` environment variable
 ///   (`grid` | `spline`) pins auto indexes to one strategy process-wide;
 ///   explicit configs always win over the environment.
 enum class IndexStrategy { kAuto, kGrid, kSpline };
@@ -82,10 +81,9 @@ struct IndexStats {
 class BoxIndex {
  public:
   struct Config {
-    /// Grid resolution per indexed dimension.
+    /// Grid resolution per indexed dimension (the grid indexes the first
+    /// two dimensions, or the only one).
     int cells_per_dim = 16;
-    /// Index at most this many leading dimensions (1 or 2; grid only).
-    int index_dims = 2;
     /// Strategy selection; see IndexStrategy.
     IndexStrategy strategy = IndexStrategy::kAuto;
     /// Auto mode switches grid -> spline at this box count.
@@ -142,8 +140,8 @@ class BoxIndex {
   void InsertGrid(int64_t subscriber, const Box& box);
   void SwitchToSpline();
   /// Lazily (re)builds the spline at lookup time; const because lookups
-  /// are, with the overlay state mutable (same pattern as the lazy
-  /// routing caches in dissemination/tree.h).
+  /// are, with the overlay state mutable (same pattern as the lazy route
+  /// tables in dissemination/tree.h).
   void MaybeRebuildSpline() const;
   void RebuildSpline() const;
 

@@ -29,7 +29,7 @@ class System;
 ///                   center-from-own-subtree, leaf bijection);
 ///  - dissemination: per-stream DisseminationTree::CheckInvariants
 ///                   (parent/child symmetry, acyclicity, cached subtree
-///                   aggregates vs recomputation, routing cache vs linear
+///                   aggregates vs recomputation, route tables vs linear
 ///                   scan);
 ///  - query_graph:   incremental QueryGraphIndex::Graph() vs a fresh
 ///                   QueryGraph::Build over the live queries (exact
@@ -55,7 +55,7 @@ class System;
 ///                   rejected + evicted + queued.
 ///
 /// Every check is read-only (apart from deterministically pre-building
-/// routing caches the hot path would build anyway), consumes no RNG, and
+/// route tables the hot path would build anyway), consumes no RNG, and
 /// sends no messages — enabling the auditor cannot change a simulation's
 /// results, only observe them. Violations bump `audit.*` counters and,
 /// when `fatal`, abort: in debug builds CI's fault-seed matrix dies at

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "common/rng.h"
@@ -120,6 +121,27 @@ TEST(BoxIndexTest, OneDimensionalDomain) {
   double p = 18;
   index.Match(&p, &out);
   EXPECT_EQ(out, (std::vector<int64_t>{1, 2}));
+}
+
+TEST(BoxIndexTest, FarOutBoundsRegisterInEdgeCells) {
+  // A bound far beyond the domain (1e300, as in Interval::All()) must
+  // clamp to the edge cell rather than overflow the cell arithmetic and
+  // leave the box registered in no cell at all.
+  BoxIndex::Config cfg;
+  cfg.strategy = IndexStrategy::kGrid;
+  BoxIndex index(Domain3(), cfg);
+  index.Insert(1, Box{{50, 1e300}, {0, 100}, {0, 1000}});
+  index.Insert(2, Box{Interval::All(), Interval::All(), Interval::All()});
+  for (double x : {75.0, 99.0}) {
+    std::vector<int64_t> out;
+    double p[3] = {x, 50, 500};
+    index.Match(p, &out);
+    EXPECT_EQ(out, (std::vector<int64_t>{1, 2})) << "x = " << x;
+  }
+  std::vector<int64_t> out;
+  double nan_point[3] = {std::nan(""), 50, 500};
+  index.Match(nan_point, &out);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(BoxIndexTest, EmptyBoxIgnored) {

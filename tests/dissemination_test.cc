@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -207,6 +209,200 @@ TEST(DisseminationTreeTest, RouteCacheMatchesLinearScanUnderChurn) {
     }
   }
   check_all("after reattaches");
+}
+
+/// A 3-D box for the route-table property test: integer bounds in
+/// [0, 120] (so probes land exactly on closed-interval edges), sometimes
+/// with a far-out (+-1e300) bound, an empty dimension, or a NaN bound.
+Box RouteBox(common::Rng& rng) {
+  Box box;
+  for (int d = 0; d < 3; ++d) {
+    const double lo = static_cast<double>(rng.NextUint64(100));
+    box.push_back(
+        Interval{lo, lo + static_cast<double>(rng.NextUint64(21))});
+  }
+  Interval& dim = box[rng.NextUint64(3)];
+  switch (rng.NextUint64(16)) {
+    case 0:
+      dim.hi = 1e300;
+      break;
+    case 1:
+      dim.lo = -1e300;
+      break;
+    case 2:
+      dim = Interval::All();
+      break;
+    case 3:
+      dim = Interval{5, 4};  // empty
+      break;
+    case 4:
+      dim.hi = std::nan("");
+      break;
+    default:
+      break;
+  }
+  return box;
+}
+
+/// Probe points for `parent`'s route table: exact corners of its
+/// children's boxes, random points inside and outside the domain, and
+/// far-out, infinite and NaN coordinates.
+std::vector<std::vector<double>> RouteProbes(const DisseminationTree& tree,
+                                             common::EntityId parent,
+                                             common::Rng& rng) {
+  std::vector<std::vector<double>> probes;
+  for (common::EntityId child : tree.Children(parent)) {
+    const std::vector<Box>& boxes = tree.SubtreeInterest(child);
+    for (int k = 0; k < 3 && !boxes.empty(); ++k) {
+      const Box& b = boxes[rng.NextUint64(boxes.size())];
+      std::vector<double> corner;
+      for (const Interval& iv : b) {
+        corner.push_back(rng.Bernoulli(0.5) ? iv.lo : iv.hi);
+      }
+      probes.push_back(std::move(corner));
+    }
+  }
+  for (int k = 0; k < 6; ++k) {
+    probes.push_back({rng.Uniform(-20, 140), rng.Uniform(-20, 140),
+                      rng.Uniform(-20, 140)});
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double far : {1e300, -1e300, 2e300, -2e300, inf, -inf}) {
+    probes.push_back({far, 50, 50});
+    probes.push_back({50, far, 50});
+  }
+  probes.push_back({std::nan(""), 50, 50});
+  probes.push_back({50, 50, std::nan("")});
+  return probes;
+}
+
+TEST(DisseminationTreeTest, RouteTablesMatchBoxScanUnder3DChurn) {
+  DisseminationTree::Config cfg;
+  cfg.policy = TreePolicy::kRandom;
+  cfg.max_fanout = 4;
+  cfg.seed = 5;
+  DisseminationTree tree(0, {0, 0}, cfg);
+  common::Rng rng(29);
+  std::set<common::EntityId> members;
+  common::EntityId next_id = 0;
+  auto random_local = [&rng](int max_boxes) {
+    std::vector<Box> local;
+    for (int k = 1 + static_cast<int>(rng.NextUint64(max_boxes)); k > 0;
+         --k) {
+      local.push_back(RouteBox(rng));
+    }
+    return local;
+  };
+  auto join = [&]() {
+    const common::EntityId id = next_id++;
+    ASSERT_TRUE(tree.AddEntity(id, {rng.Uniform(0, 100), 0}).ok());
+    members.insert(id);
+    tree.SetLocalInterest(id, random_local(10));
+  };
+  auto pick = [&]() {
+    auto it = members.begin();
+    std::advance(it, static_cast<long>(rng.NextUint64(members.size())));
+    return *it;
+  };
+  int gridded_tables = 0;  // Parents seen on each side of the threshold.
+  int linear_tables = 0;
+  auto check = [&](const std::string& when) {
+    std::vector<common::EntityId> parents{common::kInvalidEntity};
+    parents.insert(parents.end(), members.begin(), members.end());
+    int64_t expect_indexes = 0;
+    int64_t expect_boxes = 0;
+    int64_t probes_per_table = std::numeric_limits<int64_t>::max();
+    for (common::EntityId parent : parents) {
+      int64_t boxes = 0;
+      for (common::EntityId child : tree.Children(parent)) {
+        for (const Box& b : tree.SubtreeInterest(child)) {
+          if (!interest::BoxEmpty(b)) ++boxes;
+        }
+      }
+      const bool gridded =
+          boxes >= static_cast<int64_t>(DisseminationTree::kRouteIndexMinBoxes);
+      if (gridded) {
+        ++expect_indexes;
+        expect_boxes += boxes;
+        ++gridded_tables;
+      } else if (boxes > 0) {
+        ++linear_tables;
+      }
+      const auto probes = RouteProbes(tree, parent, rng);
+      if (gridded) {
+        probes_per_table =
+            std::min(probes_per_table, static_cast<int64_t>(probes.size()));
+      }
+      std::vector<common::EntityId> routed;
+      for (const std::vector<double>& p : probes) {
+        tree.ForwardTargets(parent, p.data(), true, &routed);
+        ASSERT_EQ(routed, LinearForwardTargets(tree, parent, p.data(), true))
+            << when << " parent " << parent << " point " << p[0] << ","
+            << p[1] << "," << p[2];
+        tree.ForwardTargets(parent, p.data(), false, &routed);
+        ASSERT_EQ(routed, tree.Children(parent)) << when;
+        if (parent == common::kInvalidEntity) continue;
+        bool local = false;
+        for (const Box& b : tree.LocalInterest(parent)) {
+          local = local || interest::BoxContains(b, p.data());
+        }
+        ASSERT_EQ(tree.LocalMatch(parent, p.data()), local)
+            << when << " entity " << parent;
+      }
+    }
+    // Only gridded tables count, each probed at least once per check.
+    interest::IndexStats stats;
+    tree.CollectIndexStats(&stats);
+    EXPECT_EQ(stats.indexes, expect_indexes) << when;
+    EXPECT_EQ(stats.grid_indexes, expect_indexes) << when;
+    EXPECT_EQ(stats.spline_indexes, 0) << when;
+    EXPECT_EQ(stats.boxes, expect_boxes) << when;
+    if (expect_indexes > 0) {
+      EXPECT_GE(stats.lookups, expect_indexes * probes_per_table) << when;
+      EXPECT_GT(stats.mem_bytes, 0) << when;
+    } else {
+      EXPECT_EQ(stats.lookups, 0) << when;
+      EXPECT_EQ(stats.mem_bytes, 0) << when;
+    }
+  };
+  for (int i = 0; i < 40; ++i) join();
+  check("after joins");
+  for (int step = 0; step < 150 && !HasFatalFailure(); ++step) {
+    const std::string when = "step " + std::to_string(step);
+    const uint64_t kind = rng.NextUint64(6);
+    if (kind == 0 || members.size() < 20) {
+      join();
+    } else if (kind == 1) {
+      const common::EntityId id = pick();
+      ASSERT_TRUE(tree.RemoveEntity(id).ok());
+      members.erase(id);
+    } else if (kind == 2) {
+      const common::EntityId to =
+          rng.Bernoulli(0.2) ? common::kInvalidEntity : pick();
+      (void)tree.Reattach(pick(), to);  // Cycles / full fanout refuse.
+    } else if (kind == 3) {  // Grow: append boxes, sometimes simplified.
+      const common::EntityId id = pick();
+      std::vector<Box> local = tree.LocalInterest(id);
+      for (Box& b : random_local(6)) local.push_back(std::move(b));
+      if (rng.Bernoulli(0.5)) interest::SimplifyBoxes(&local);
+      tree.SetLocalInterest(id, std::move(local));
+    } else if (kind == 4) {  // Shrink: drop boxes, maybe all of them.
+      const common::EntityId id = pick();
+      std::vector<Box> local = tree.LocalInterest(id);
+      for (int k = 1 + static_cast<int>(rng.NextUint64(4));
+           k > 0 && !local.empty(); --k) {
+        local.erase(local.begin() +
+                    static_cast<long>(rng.NextUint64(local.size())));
+      }
+      tree.SetLocalInterest(id, std::move(local));
+    } else {  // Replace outright.
+      tree.SetLocalInterest(pick(), random_local(10));
+    }
+    check(when);
+  }
+  // Both sides of the grid threshold were exercised.
+  EXPECT_GT(gridded_tables, 100);
+  EXPECT_GT(linear_tables, 100);
 }
 
 TEST(DisseminationTreeTest, RouteCacheSeesInterestShrink) {

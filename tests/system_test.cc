@@ -34,12 +34,14 @@ std::vector<std::unique_ptr<workload::StreamGen>> SmallStreams(
   return workload::MakeTickerStreams(n, tcfg, &scratch, &rng);
 }
 
-engine::Query WideQuery(common::QueryId id, common::StreamId stream) {
+/// Accepts all symbols/prices/volumes by default (wide interest so
+/// results flow).
+engine::Query WideQuery(common::QueryId id, common::StreamId stream,
+                        interest::Box box = {{-1, 1000}, {-1, 1000},
+                                             {-1, 1e9}}) {
   engine::Query q;
   q.id = id;
   auto plan = std::make_shared<engine::QueryPlan>();
-  // Accept all symbols/prices/volumes (wide interest so results flow).
-  interest::Box box{{-1, 1000}, {-1, 1000}, {-1, 1e9}};
   auto f = plan->AddOperator(std::make_unique<engine::FilterOp>(
       std::vector<int>{0, 1, 2}, box));
   EXPECT_TRUE(plan->BindStream(stream, f, 0).ok());
@@ -62,6 +64,25 @@ TEST(SystemTest, EndToEndResultsFlow) {
   EXPECT_GT(m.wan_bytes, 0);
   EXPECT_GT(m.latency.p50(), 0.0);
   EXPECT_GT(m.pr.p50(), 0.0);
+}
+
+TEST(SystemTest, UnboundedInterestGetsTheBoundedResults) {
+  // A price bound of 1e300 or Interval::All() must deliver exactly what a
+  // finite bound above every price delivers: the grid cell of such a
+  // bound must clamp to the edge, or the query's box registers nowhere.
+  auto results = [](interest::Interval price) {
+    System sys(SmallConfig());
+    sys.AddStreams(SmallStreams(2));
+    EXPECT_TRUE(
+        sys.SubmitQuery(WideQuery(1, 0, {{-1, 1000}, price, {-1, 1e9}})).ok());
+    sys.GenerateTraffic(2.0);
+    sys.RunUntil(3.0);
+    return sys.Collect().results;
+  };
+  const int64_t bounded = results({-1, 1e9});
+  EXPECT_GT(bounded, 0);
+  EXPECT_EQ(results({-1, 1e300}), bounded);
+  EXPECT_EQ(results(interest::Interval::All()), bounded);
 }
 
 TEST(SystemTest, QueriesLandOnEntities) {
