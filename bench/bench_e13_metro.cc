@@ -42,8 +42,8 @@
 //                               indexes, the live system indexes, and a
 //                               deterministic lookup probe;
 //  - headline.latency_p*_ms     result-latency p50/p95/p99 read from the
-//                               bounded sketches (cfg.bounded_stats —
-//                               no exact sample vectors at tier scale);
+//                               result-latency sketch (no exact sample
+//                               vectors at tier scale);
 //  - trace.stage_s{stage=...}   per-stage delay decomposition from the
 //                               full-sampling, stage-aggregated trace
 //                               (retain_spans off: zero span drops in
@@ -139,13 +139,10 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   cfg.topology.num_sources = sc.streams;
   cfg.allocation = dsps::system::AllocationMode::kCoordinatorTree;
   cfg.seed = 13;
-  // Online health layer at tier scale: result latency, per-tenant
-  // latency, and entity processing time all land in bounded DDSketch-
-  // style sketches instead of exact sample vectors, and the trace log
-  // aggregates per-stage sketches without retaining spans — so even the
-  // full 10k-entity / 1M-query tier reports p50/p95/p99 in O(buckets)
-  // memory.
-  cfg.bounded_stats = true;
+  // Online health layer at tier scale: result statistics are always
+  // bounded sketches, and the trace log aggregates per-stage sketches
+  // without retaining spans — so even the full 10k-entity / 1M-query tier
+  // reports p50/p95/p99 in O(buckets) memory.
   cfg.trace = trace;
   // Four equal tenants, admission ON: every submission crosses the
   // admission gate (the tier streams *through* it, per the experiment),
@@ -237,9 +234,9 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   run.latency_p50_ms = m.latency_quantile(0.50) * 1e3;
   run.latency_p95_ms = m.latency_quantile(0.95) * 1e3;
   run.latency_p99_ms = m.latency_quantile(0.99) * 1e3;
-  run.latency_sketch_buckets = m.latency_sketch.num_buckets();
+  run.latency_sketch_buckets = m.latency.num_buckets();
   for (int t = 1; t <= kTenants; ++t) {
-    const dsps::telemetry::Sketch* sk = sys.TenantLatencySketch(t);
+    const dsps::telemetry::Sketch* sk = sys.TenantLatency(t);
     run.tenant_p95_ms.push_back(sk != nullptr && sk->count() > 0
                                     ? sk->p95() * 1e3
                                     : 0.0);
@@ -345,7 +342,7 @@ void PrintE13() {
       auto start = std::chrono::steady_clock::now();
       dsps::partition::QueryGraph g =
           dsps::partition::QueryGraph::Build(slice, catalog, 1e-9, &rep_stats);
-      build_us->Observe(WallSince(start) * 1e6);
+      build_us->Add(WallSince(start) * 1e6);
       benchmark::DoNotOptimize(g.total_edge_weight());
       if (rep == 2) build_stats = rep_stats;
     }

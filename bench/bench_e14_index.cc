@@ -201,7 +201,7 @@ StrategyResult RunStrategy(Index& index, const Tier& tier, const Box& domain,
     auto start = std::chrono::steady_clock::now();
     index.Match(p.data(), &out);
     const double us = UsSince(start);
-    lookup_us->Observe(us);
+    lookup_us->Add(us);
     lookup_total += us;
     if (i < kChecks) match_out->push_back(out);
   }
@@ -215,7 +215,7 @@ StrategyResult RunStrategy(Index& index, const Tier& tier, const Box& domain,
     auto start = std::chrono::steady_clock::now();
     index.MatchOverlap(q, &out);
     const double us = UsSince(start);
-    overlap_us->Observe(us);
+    overlap_us->Add(us);
     overlap_total += us;
     if (i < kChecks) overlap_out->push_back(out);
   }

@@ -153,7 +153,7 @@ void PrintE3() {
       dsps::interest::IndexStats rep_stats;
       auto start = std::chrono::steady_clock::now();
       QueryGraph g = QueryGraph::Build(queries, catalog, 1e-9, &rep_stats);
-      build_us->Observe(us_since(start));
+      build_us->Add(us_since(start));
       benchmark::DoNotOptimize(g.total_edge_weight());
       if (rep == reps - 1) build_stats = rep_stats;
     }
@@ -171,7 +171,7 @@ void PrintE3() {
       auto start = std::chrono::steady_clock::now();
       index.RemoveQuery(q.id);
       index.AddQuery(q);
-      delta_us->Observe(us_since(start));
+      delta_us->Add(us_since(start));
     }
     QueryGraph materialized = index.Graph();
     benchmark::DoNotOptimize(materialized.total_edge_weight());

@@ -99,9 +99,9 @@ PlacementRunResult Run(dsps::placement::PlacementPolicy* policy, int limit,
   sim.RunUntil(duration + 2.0);
 
   PlacementRunResult r;
-  r.pr_max = ent.pr_histogram().max();
-  r.pr_p99 = ent.pr_histogram().p99();
-  r.pr_mean = ent.pr_histogram().mean();
+  r.pr_max = ent.pr_sketch().max();
+  r.pr_p99 = ent.pr_sketch().p99();
+  r.pr_mean = ent.pr_sketch().mean();
   r.lan_bytes = net.total_bytes();
   r.max_util = ent.MaxUtilization();
   r.mean_util = ent.MeanUtilization();
@@ -119,8 +119,8 @@ void BM_InstallQueries(benchmark::State& state) {
 BENCHMARK(BM_InstallQueries)->Unit(benchmark::kMillisecond);
 
 void PrintE4Policies(dsps::telemetry::BenchReport* report) {
-  Table table({"policy", "PR p99", "PR mean", "LAN MB", "max util",
-               "mean util", "results"});
+  Table table({"policy", "PR max", "PR p99", "PR mean", "LAN MB",
+               "max util", "mean util", "results"});
   dsps::placement::PrAwarePlacement pr;
   dsps::placement::LoadOnlyPlacement lo;
   dsps::placement::RandomPlacement rnd(7);
@@ -131,12 +131,13 @@ void PrintE4Policies(dsps::telemetry::BenchReport* report) {
   for (const Row& row : {Row{"pr-aware", &pr}, Row{"load-only", &lo},
                          Row{"random", &rnd}}) {
     PlacementRunResult r = Run(row.policy, 2, 16, 128, 3.0, 5);
-    table.AddRow({row.name, Table::Num(r.pr_p99, 0),
+    table.AddRow({row.name, Table::Num(r.pr_max, 0), Table::Num(r.pr_p99, 0),
                   Table::Num(r.pr_mean, 0), Table::Num(r.lan_bytes / 1e6, 2),
                   Table::Num(r.max_util, 3), Table::Num(r.mean_util, 3),
                   Table::Int(r.results)});
     dsps::telemetry::Labels labels =
         dsps::telemetry::MakeLabels({{"policy", row.name}});
+    report->SetHeadline("pr_max", r.pr_max, labels);
     report->SetHeadline("pr_p99", r.pr_p99, labels);
     report->SetHeadline("pr_mean", r.pr_mean, labels);
     report->SetHeadline("lan_mb", r.lan_bytes / 1e6, labels);
@@ -148,16 +149,17 @@ void PrintE4Policies(dsps::telemetry::BenchReport* report) {
 }
 
 void PrintE4LimitSweep(dsps::telemetry::BenchReport* report) {
-  Table table({"distribution limit L", "PR p99", "PR mean", "LAN MB",
-               "max util"});
+  Table table({"distribution limit L", "PR max", "PR p99", "PR mean",
+               "LAN MB", "max util"});
   dsps::placement::PrAwarePlacement pr;
   for (int limit : {1, 2, 4, 8}) {
     PlacementRunResult r = Run(&pr, limit, 16, 128, 3.0, 5);
-    table.AddRow({Table::Int(limit), Table::Num(r.pr_p99, 0),
-                  Table::Num(r.pr_mean, 0), Table::Num(r.lan_bytes / 1e6, 2),
-                  Table::Num(r.max_util, 3)});
+    table.AddRow({Table::Int(limit), Table::Num(r.pr_max, 0),
+                  Table::Num(r.pr_p99, 0), Table::Num(r.pr_mean, 0),
+                  Table::Num(r.lan_bytes / 1e6, 2), Table::Num(r.max_util, 3)});
     dsps::telemetry::Labels labels =
         dsps::telemetry::MakeLabels({{"limit", std::to_string(limit)}});
+    report->SetHeadline("pr_max", r.pr_max, labels);
     report->SetHeadline("pr_p99", r.pr_p99, labels);
     report->SetHeadline("lan_mb", r.lan_bytes / 1e6, labels);
   }

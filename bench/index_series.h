@@ -99,7 +99,7 @@ inline void RunIndexLookupProbe(const std::vector<interest::Box>& boxes,
     out.clear();
     auto start = Clock::now();
     index.Match(point.data(), &out);
-    lookup_us->Observe(us_since(start));
+    lookup_us->Add(us_since(start));
   }
   interest::IndexStats stats;
   index.AddStatsTo(&stats);

@@ -4,11 +4,11 @@
 #include <map>
 
 #include "common/check.h"
-#include "common/stats.h"
 #include "dissemination/disseminator.h"
 #include "entity/entity.h"
 #include "placement/placement.h"
 #include "sim/topology.h"
+#include "telemetry/sketch.h"
 #include "workload/stream_gen.h"
 
 namespace dsps::baselines {
@@ -141,7 +141,7 @@ RegimeResult RunFusedRegime(const RegimeWorkload& wl) {
     });
   }
 
-  common::Histogram latency;
+  telemetry::Sketch latency;
   fused.SetResultHandler(
       [&latency](const entity::Entity::ResultRecord& rec,
                  const engine::Tuple&) { latency.Add(rec.latency); });
@@ -219,7 +219,7 @@ RegimeResult RunFusedRegime(const RegimeWorkload& wl) {
   r.load_imbalance = mean > 0 ? max_load / mean : 1.0;
   r.latency_p50 = latency.p50();
   r.latency_p99 = latency.p99();
-  r.results = static_cast<int64_t>(latency.count());
+  r.results = latency.count();
   return r;
 }
 

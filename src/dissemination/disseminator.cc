@@ -149,9 +149,9 @@ void Disseminator::Forward(const DisseminationTree& tree,
     auto start = std::chrono::steady_clock::now();
     tree.ForwardTargets(from, env.point->data(), config_.early_filter,
                         &targets);
-    route_lookup_us_->Observe(std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
+    route_lookup_us_->Add(std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - start)
+                              .count());
   } else {
     tree.ForwardTargets(from, env.point->data(), config_.early_filter,
                         &targets);

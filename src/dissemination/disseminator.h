@@ -165,7 +165,7 @@ class Disseminator {
   int64_t forwards_ = 0;
   /// Wall-clock cost of each ForwardTargets routing lookup (interned once
   /// when metrics are configured; null = no timing overhead).
-  telemetry::HistogramMetric* route_lookup_us_ = nullptr;
+  telemetry::Sketch* route_lookup_us_ = nullptr;
   /// Per-hop scratch for Forward's target list. Safe to reuse: message
   /// delivery is always scheduled, never synchronous, so Forward cannot
   /// re-enter while the list is being walked.

@@ -69,7 +69,7 @@ common::Status Processor::Submit(common::FragmentId fragment,
   }
   if (tuples_counter_ != nullptr) {
     tuples_counter_->Increment();
-    queue_wait_hist_->Observe(start - sim->now());
+    queue_wait_hist_->Add(start - sim->now());
     backlog_gauge_->Set(busy_until_ - sim->now());
     if (sim->now() > 0) utilization_gauge_->Set(busy_seconds_ / sim->now());
   }

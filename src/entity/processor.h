@@ -88,7 +88,7 @@ class Processor {
   EmissionHandler emission_;
   telemetry::TraceLog* trace_ = nullptr;
   telemetry::Counter* tuples_counter_ = nullptr;
-  telemetry::HistogramMetric* queue_wait_hist_ = nullptr;
+  telemetry::Sketch* queue_wait_hist_ = nullptr;
   telemetry::Gauge* backlog_gauge_ = nullptr;
   telemetry::Gauge* utilization_gauge_ = nullptr;
 };

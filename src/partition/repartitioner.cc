@@ -81,7 +81,7 @@ void Repartitioner::RecordMetrics(const RepartitionResult& result) {
   metrics_->gauge("partition.edge_cut", labels)->Set(result.edge_cut);
   metrics_->gauge("partition.imbalance", labels)->Set(result.imbalance);
   metrics_->histogram("partition.decision_seconds", std::move(labels))
-      ->Observe(result.decision_seconds);
+      ->Add(result.decision_seconds);
 }
 
 int CountMigrations(const std::vector<int>& old_assignment,

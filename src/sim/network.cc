@@ -178,7 +178,7 @@ common::Status Network::Send(Message msg) {
     if (metrics_ != nullptr) {
       messages_counter_->Increment();
       bytes_counter_->Increment(msg.size_bytes);
-      queue_wait_hist_->Observe(start - sim_->now());
+      queue_wait_hist_->Add(start - sim_->now());
       if (per_link_metrics_) {
         if (link.bytes_counter == nullptr) {
           telemetry::Labels labels = telemetry::MakeLabels(

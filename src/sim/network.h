@@ -218,7 +218,7 @@ class Network {
   telemetry::Counter* messages_counter_ = nullptr;
   telemetry::Counter* bytes_counter_ = nullptr;
   telemetry::Counter* local_messages_counter_ = nullptr;
-  telemetry::HistogramMetric* queue_wait_hist_ = nullptr;
+  telemetry::Sketch* queue_wait_hist_ = nullptr;
   telemetry::Counter* dropped_fault_counter_ = nullptr;
   telemetry::Counter* dropped_no_handler_counter_ = nullptr;
   telemetry::FlightRecorder* flight_ = nullptr;

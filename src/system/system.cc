@@ -62,12 +62,6 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
     }
     network_->SetFlightRecorder(config.flight);
   }
-  if (config.bounded_stats) {
-    metrics_.bounded_stats = true;
-    metrics_.latency_sketch = telemetry::Sketch(config.stats_sketch);
-    metrics_.pr_sketch = telemetry::Sketch(config.stats_sketch);
-    metrics_.client_latency_sketch = telemetry::Sketch(config.stats_sketch);
-  }
   if (config.trace != nullptr) {
     network_->SetTraceLog(config.trace);
     config.trace->MapMessageType(dissemination::kMsgTupleForward,
@@ -84,8 +78,6 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
   // fills in at AddStreams time.
   entity::Entity::Config entity_config = config.entity;
   entity_config.catalog = &catalog_;
-  entity_config.bounded_stats = config.bounded_stats;
-  entity_config.stats_sketch = config.stats_sketch;
   if (entity_config.metrics == nullptr) entity_config.metrics = config.metrics;
   if (entity_config.trace == nullptr) entity_config.trace = config.trace;
   for (int e = 0; e < config.topology.num_entities; ++e) {
@@ -98,18 +90,14 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
     entity->SetResultHandler(
         [this, eid](const entity::Entity::ResultRecord& record,
                     const engine::Tuple& tuple) {
+          // record.pr is already in the entity's sketch; Collect() merges
+          // those into SystemMetrics::pr.
           metrics_.results += 1;
-          if (metrics_.bounded_stats) {
-            metrics_.latency_sketch.Add(record.latency);
-            metrics_.pr_sketch.Add(record.pr);
-          } else {
-            metrics_.latency.Add(record.latency);
-            metrics_.pr.Add(record.pr);
-          }
+          metrics_.latency.Add(record.latency);
           if (results_counter_ != nullptr) {
             results_counter_->Increment();
-            latency_hist_->Observe(record.latency);
-            pr_hist_->Observe(record.pr);
+            latency_hist_->Add(record.latency);
+            pr_hist_->Add(record.pr);
           }
           if (config_.trace != nullptr && tuple.trace_id != 0) {
             // End-to-end summary span: the per-stage spans recorded along
@@ -159,11 +147,7 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
         metrics_.client_results += 1;
         double client_latency =
             std::max(0.0, simulator_->now() - env->result_timestamp);
-        if (metrics_.bounded_stats) {
-          metrics_.client_latency_sketch.Add(client_latency);
-        } else {
-          metrics_.client_latency.Add(client_latency);
-        }
+        metrics_.client_latency.Add(client_latency);
       });
       client_nodes_.push_back(node);
       client_positions_.push_back(pos);
@@ -698,17 +682,9 @@ void System::RecordTenantResult(common::QueryId query, double latency) {
   const engine::Query* q = query_state_.Find(query);
   if (q == nullptr) return;
   tenant::TenantId t = q->tenant;
-  auto [rt_it, inserted] = tenant_runtime_.try_emplace(t);
-  TenantRuntime& rt = rt_it->second;
-  if (inserted && config_.bounded_stats) {
-    rt.latency_sketch = telemetry::Sketch(config_.stats_sketch);
-  }
+  TenantRuntime& rt = tenant_runtime_[t];
   rt.results += 1;
-  if (config_.bounded_stats) {
-    rt.latency_sketch.Add(latency);
-  } else {
-    rt.latency.Add(latency);
-  }
+  rt.latency.Add(latency);
   const tenant::TenantSpec& spec = tenant_registry_->SpecOrDefault(t);
   if (spec.latency_slo_s <= 0.0 || latency <= spec.latency_slo_s) {
     rt.within_slo += 1;
@@ -728,7 +704,7 @@ void System::RecordTenantResult(common::QueryId query, double latency) {
           config_.metrics->histogram("tenant.latency_s", labels);
     }
     rt.results_counter->Increment();
-    rt.latency_hist->Observe(latency);
+    rt.latency_hist->Add(latency);
   }
 }
 
@@ -737,15 +713,9 @@ int64_t System::TenantResults(tenant::TenantId tenant) const {
   return it != tenant_runtime_.end() ? it->second.results : 0;
 }
 
-const common::Histogram* System::TenantLatency(tenant::TenantId tenant) const {
+const telemetry::Sketch* System::TenantLatency(tenant::TenantId tenant) const {
   auto it = tenant_runtime_.find(tenant);
   return it != tenant_runtime_.end() ? &it->second.latency : nullptr;
-}
-
-const telemetry::Sketch* System::TenantLatencySketch(
-    tenant::TenantId tenant) const {
-  auto it = tenant_runtime_.find(tenant);
-  return it != tenant_runtime_.end() ? &it->second.latency_sketch : nullptr;
 }
 
 double System::TenantRecentP95(tenant::TenantId tenant) const {
@@ -1411,7 +1381,7 @@ void System::GraphIndexAdd(const engine::Query& query) {
                   .count();
   install_profile_.graph_us += us;
   if (incremental_delta_us_ != nullptr) {
-    incremental_delta_us_->Observe(us);
+    incremental_delta_us_->Add(us);
   }
 }
 
@@ -1426,7 +1396,7 @@ void System::FlushDeferredGraphAdds() {
                   .count();
   install_profile_.graph_us += us;
   if (incremental_delta_us_ != nullptr) {
-    incremental_delta_us_->Observe(us);
+    incremental_delta_us_->Add(us);
   }
   deferred_graph_adds_.clear();
 }
@@ -1436,7 +1406,7 @@ void System::GraphIndexRemove(common::QueryId query) {
   auto start = std::chrono::steady_clock::now();
   graph_index_->RemoveQuery(query);
   if (incremental_delta_us_ != nullptr) {
-    incremental_delta_us_->Observe(
+    incremental_delta_us_->Add(
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - start)
             .count());
@@ -1479,7 +1449,7 @@ common::Result<System::RepartitionReport> System::RepartitionQueries(
   }
   partition::QueryGraph graph = graph_index_->Graph();
   if (graph_build_us_ != nullptr) {
-    graph_build_us_->Observe(
+    graph_build_us_->Add(
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - build_start)
             .count());
@@ -1737,7 +1707,7 @@ int System::ElasticityRound() {
     obs.entity = e;
     obs.committed_load = ent->TotalCommittedLoad();
     obs.capacity = config_.entity.processor_capacity * ent->num_processors();
-    obs.pr_p95 = ent->pr_count() > 0 ? ent->pr_p95() : 0.0;
+    obs.pr_p95 = ent->pr_sketch().p95();
     obs.processors = ent->num_processors();
     switch (elasticity_->Evaluate(obs)) {
       case tenant::ElasticityManager::Action::kGrow:
@@ -1874,9 +1844,11 @@ SystemMetrics System::Collect() const {
       }
     }
   }
-  // Entity load imbalance and processor utilization.
+  // Entity load imbalance and processor utilization; the PR distribution
+  // is the merge of the entities' sketches (each sample was added once).
   double total_load = 0.0, max_load = 0.0;
   for (const auto& ent : entities_) {
+    m.pr.Merge(ent->pr_sketch());
     double load = ent->TotalCommittedLoad();
     total_load += load;
     max_load = std::max(max_load, load);

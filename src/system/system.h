@@ -168,14 +168,8 @@ class System {
     /// violation or failed fatal check. Read-only with respect to the
     /// simulation. Must outlive the System.
     telemetry::FlightRecorder* flight = nullptr;
-    /// Bounded result statistics: result latency / PR / client latency
-    /// (and per-entity PR, per-tenant latency) go into mergeable quantile
-    /// sketches built from `stats_sketch` instead of the exact
-    /// sample-storing histograms — O(buckets) memory at metro scale
-    /// instead of 8 bytes per result. Off by default (exact histograms,
-    /// bit-identical to the seed behavior).
+    /// Ignored: results are always sketched; kept so perfbench/ compiles.
     bool bounded_stats = false;
-    telemetry::Sketch::Config stats_sketch;
     /// Also export per-directed-link net.link.* counters (high
     /// cardinality; off by default even when `metrics` is set).
     bool per_link_metrics = false;
@@ -555,12 +549,9 @@ class System {
   /// Per-tenant result-latency accounting (only populated while the
   /// admission controller is active).
   int64_t TenantResults(tenant::TenantId tenant) const;
-  /// Latency histogram over all of the tenant's results so far (null if
-  /// none yet; empty in bounded_stats mode — see TenantLatencySketch).
-  const common::Histogram* TenantLatency(tenant::TenantId tenant) const;
-  /// Sketch over all of the tenant's result latencies (bounded_stats
-  /// mode; null if the tenant has no results yet).
-  const telemetry::Sketch* TenantLatencySketch(tenant::TenantId tenant) const;
+  /// Latency sketch over all of the tenant's results so far (null if
+  /// none yet).
+  const telemetry::Sketch* TenantLatency(tenant::TenantId tenant) const;
   /// p95 latency over the trailing admission.slo_window_s window (0 when
   /// no recent results).
   double TenantRecentP95(tenant::TenantId tenant) const;
@@ -745,16 +736,14 @@ class System {
   /// sites that its own installs can reach again.
   bool draining_admissions_ = false;
   struct TenantRuntime {
-    common::Histogram latency;
-    /// Bounded-stats backing for `latency` (bounded_stats mode only).
-    telemetry::Sketch latency_sketch;
+    telemetry::Sketch latency;
     int64_t results = 0;
     int64_t within_slo = 0;
     /// (completion time, latency) of recent results, trimmed to the
     /// admission.slo_window_s window — the recent-p95 probe's input.
     std::deque<std::pair<double, double>> recent;
     telemetry::Counter* results_counter = nullptr;
-    telemetry::HistogramMetric* latency_hist = nullptr;
+    telemetry::Sketch* latency_hist = nullptr;
   };
   std::map<tenant::TenantId, TenantRuntime> tenant_runtime_;
   /// Elasticity (null unless EnableElasticity ran).
@@ -765,10 +754,10 @@ class System {
   /// Cached telemetry series (null when config_.metrics is null).
   telemetry::Counter* results_counter_ = nullptr;
   telemetry::Counter* query_migrations_counter_ = nullptr;
-  telemetry::HistogramMetric* latency_hist_ = nullptr;
-  telemetry::HistogramMetric* pr_hist_ = nullptr;
-  telemetry::HistogramMetric* graph_build_us_ = nullptr;
-  telemetry::HistogramMetric* incremental_delta_us_ = nullptr;
+  telemetry::Sketch* latency_hist_ = nullptr;
+  telemetry::Sketch* pr_hist_ = nullptr;
+  telemetry::Sketch* graph_build_us_ = nullptr;
+  telemetry::Sketch* incremental_delta_us_ = nullptr;
   /// Applies a timed add/remove delta to graph_index_ (no-op while null).
   /// During a SubmitQueries batch, adds are deferred into
   /// deferred_graph_adds_ and flushed as one bulk AddQueries pass.

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <utility>
 
+#include "common/stats.h"
 #include "telemetry/json.h"
 
 namespace dsps::telemetry {
@@ -80,7 +81,7 @@ std::string BenchReport::ToJson() {
         Labels stage_labels = labels;
         stage_labels.emplace_back("stage", StageName(stage));
         registry_.histogram("trace.stage_s", std::move(stage_labels))
-            ->MergeSketch(sketch);
+            ->Merge(sketch);
       }
     }
   }

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "telemetry/sketch.h"
 
 namespace dsps::telemetry {
@@ -41,58 +40,6 @@ class Gauge {
 
  private:
   double value_ = 0.0;
-};
-
-/// Distribution metric. Exact by default (common::Histogram, every sample
-/// kept); a registry in sketch mode backs it with a bounded
-/// telemetry::Sketch instead, so unbounded hot-path streams export the
-/// same count/mean/p50/p95/p99/max summary in O(buckets) memory. Call
-/// sites are identical either way.
-class HistogramMetric {
- public:
-  HistogramMetric() = default;
-  explicit HistogramMetric(const Sketch::Config& config)
-      : sketch_(std::make_unique<Sketch>(config)) {}
-
-  void Observe(double x) {
-    if (sketch_ != nullptr) {
-      sketch_->Add(x);
-    } else {
-      data_.Add(x);
-    }
-  }
-  /// Folds exact samples in (replayed one by one when sketch-backed).
-  void Merge(const common::Histogram& other) {
-    if (sketch_ != nullptr) {
-      for (double x : other.samples()) sketch_->Add(x);
-    } else {
-      data_.Merge(other);
-    }
-  }
-  /// Folds a sketch in. An exact-backed metric is promoted to sketch
-  /// backing first (exact samples replayed into the sketch) — the only
-  /// lossless direction.
-  void MergeSketch(const Sketch& other);
-
-  bool sketch_backed() const { return sketch_ != nullptr; }
-  /// Exact backing store; empty when sketch-backed.
-  const common::Histogram& data() const { return data_; }
-  /// Sketch backing store; nullptr when exact.
-  const Sketch* sketch() const { return sketch_.get(); }
-
-  /// Uniform summary surface used by snapshots regardless of backing.
-  int64_t count() const {
-    return sketch_ ? sketch_->count() : static_cast<int64_t>(data_.count());
-  }
-  double mean() const { return sketch_ ? sketch_->mean() : data_.mean(); }
-  double p50() const { return sketch_ ? sketch_->p50() : data_.p50(); }
-  double p95() const { return sketch_ ? sketch_->p95() : data_.p95(); }
-  double p99() const { return sketch_ ? sketch_->p99() : data_.p99(); }
-  double max() const { return sketch_ ? sketch_->max() : data_.max(); }
-
- private:
-  common::Histogram data_;
-  std::unique_ptr<Sketch> sketch_;
 };
 
 /// One exported sample: the point-in-time value of a metric series.
@@ -144,14 +91,12 @@ class MetricsRegistry {
   /// registry is destroyed.
   Counter* counter(std::string_view name, Labels labels = {});
   Gauge* gauge(std::string_view name, Labels labels = {});
-  HistogramMetric* histogram(std::string_view name, Labels labels = {});
+  /// Histogram series are quantile sketches (default Sketch::Config), so
+  /// every series merges losslessly and costs O(buckets) memory.
+  Sketch* histogram(std::string_view name, Labels labels = {});
 
-  /// Switches histogram series interned *after* this call to bounded
-  /// sketch backing (existing series keep their backing, so flip the
-  /// mode before components intern). Snapshot output keeps the exact
-  /// same shape — only the memory/accuracy trade changes.
-  void UseSketches(const Sketch::Config& config = {});
-  bool sketch_mode() const { return sketch_mode_; }
+  /// Ignored: histograms are always sketches; kept so perfbench/ compiles.
+  void UseSketches() {}
 
   /// Number of interned series across all kinds.
   size_t size() const {
@@ -162,7 +107,7 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
   /// Folds another registry in: counters add, gauges take the other's
-  /// value, histograms merge their samples.
+  /// value, histograms merge their sketches.
   void MergeFrom(const MetricsRegistry& other);
 
  private:
@@ -172,9 +117,7 @@ class MetricsRegistry {
 
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
-  std::map<Key, std::unique_ptr<HistogramMetric>> histograms_;
-  bool sketch_mode_ = false;
-  Sketch::Config sketch_config_;
+  std::map<Key, std::unique_ptr<Sketch>> histograms_;
 };
 
 }  // namespace dsps::telemetry

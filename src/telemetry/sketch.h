@@ -18,10 +18,10 @@ namespace dsps::telemetry {
 /// 1% accuracy, values spanning six orders of magnitude fit in ~700
 /// buckets (~11 KB), versus 8 bytes *per sample* for common::Histogram.
 ///
-/// Choose Sketch for unbounded hot-path streams (per-result latency at
-/// metro scale); choose common::Histogram when the sample count is small
-/// and exact order statistics matter (detection latencies, CI-pinned
-/// simulated-time results).
+/// Sketch is the one type for streamed distributions: per-result
+/// latency and PR, and every MetricsRegistry histogram. Keep
+/// common::Histogram for small sample sets where exact order statistics
+/// matter (detection latencies, test oracles).
 ///
 /// Merging adds bucket counts, so merge(a, b) is exact: the merged sketch
 /// is identical to one that observed both streams. Merge order only

@@ -8,6 +8,7 @@
 #include "partition/repartitioner.h"
 #include "system/auditor.h"
 #include "system/system.h"
+#include "telemetry/sketch.h"
 #include "telemetry/timeseries.h"
 #include "workload/query_gen.h"
 #include "workload/stream_gen.h"
@@ -64,6 +65,70 @@ TEST(SystemTest, EndToEndResultsFlow) {
   EXPECT_GT(m.wan_bytes, 0);
   EXPECT_GT(m.latency.p50(), 0.0);
   EXPECT_GT(m.pr.p50(), 0.0);
+}
+
+TEST(SystemTest, ResultSketchesMergeToSystemStats) {
+  // Each result adds its PR to its entity's sketch only and its latency to
+  // the system and tenant sketches; Collect() derives the system PR
+  // distribution by merging the entities'. Merges add bucket counts, so
+  // the derived distributions must match the per-part ones exactly.
+  System::Config cfg = SmallConfig();
+  for (tenant::TenantId t : {1, 2}) {
+    tenant::TenantSpec spec;
+    spec.id = t;
+    spec.weight = 1.0;
+    cfg.tenants.push_back(spec);
+  }
+  cfg.admission.load_factor = 4.0;
+  System sys(cfg);
+  sys.AddStreams(SmallStreams(2));
+  for (common::QueryId id = 1; id <= 6; ++id) {
+    engine::Query q = WideQuery(id, static_cast<common::StreamId>(id % 2));
+    q.tenant = 1 + static_cast<tenant::TenantId>(id % 2);
+    ASSERT_TRUE(sys.SubmitQuery(q).ok());
+  }
+  sys.GenerateTraffic(2.0);
+  sys.RunUntil(3.0);
+  const SystemMetrics m = sys.Collect();
+  ASSERT_GT(m.results, 100);
+
+  auto expect_same = [](const telemetry::Sketch& a,
+                        const telemetry::Sketch& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    for (double q : {0.5, 0.95, 0.99}) {
+      EXPECT_EQ(a.Percentile(q), b.Percentile(q)) << "q=" << q;
+    }
+  };
+
+  telemetry::Sketch entity_pr;
+  int entities_with_results = 0;
+  for (int i = 0; i < sys.num_entities(); ++i) {
+    const telemetry::Sketch& s = sys.entity_at(i)->pr_sketch();
+    if (s.count() > 0) ++entities_with_results;
+    entity_pr.Merge(s);
+  }
+  EXPECT_GE(entities_with_results, 2);
+  expect_same(m.pr, entity_pr);
+  EXPECT_EQ(m.pr.count(), m.results);
+  EXPECT_EQ(m.latency.count(), m.results);
+
+  telemetry::Sketch tenant_latency;
+  for (tenant::TenantId t : {1, 2}) {
+    const telemetry::Sketch* s = sys.TenantLatency(t);
+    ASSERT_NE(s, nullptr);
+    EXPECT_GT(s->count(), 0);
+    tenant_latency.Merge(*s);
+  }
+  expect_same(tenant_latency, m.latency);
+
+  // Collect() merges into its returned copy, never into the system's own
+  // accumulators: a second call reads the same values.
+  const SystemMetrics again = sys.Collect();
+  expect_same(again.pr, m.pr);
+  expect_same(again.latency, m.latency);
+  EXPECT_EQ(again.pr.sum(), m.pr.sum());
 }
 
 TEST(SystemTest, UnboundedInterestGetsTheBoundedResults) {
