@@ -89,7 +89,8 @@ PlacementRunResult Run(dsps::placement::PlacementPolicy* policy, int limit,
     double t = sim.now() + rng.Exponential(tcfg.tuples_per_s);
     if (t > end) return;
     sim.ScheduleAt(t, [&, s, end]() {
-      ent.OnStreamTuple(gens[s]->Next(sim.now()));
+      ent.OnStreamTuple(std::make_shared<const dsps::engine::Tuple>(
+          gens[s]->Next(sim.now())));
       schedule(s, end);
     });
   };

@@ -131,7 +131,8 @@ RegimeResult RunFusedRegime(const RegimeWorkload& wl) {
   }
   DSPS_CHECK(dissem.AddEntity(0, fused.gateway_node()).ok());
   dissem.SetDeliveryHandler(
-      [&fused](common::EntityId, const engine::Tuple& tuple) {
+      [&fused](common::EntityId,
+               const std::shared_ptr<const engine::Tuple>& tuple) {
         fused.OnStreamTuple(tuple);
       });
   for (common::SimNodeId node : all_nodes) {

@@ -28,11 +28,17 @@ Disseminator::Disseminator(sim::Network* network, const Config& config)
 
 common::Status Disseminator::AddSource(common::StreamId stream,
                                        common::SimNodeId source_node) {
+  if (stream < 0) return common::Status::InvalidArgument("negative stream id");
   if (trees_.count(stream) > 0) {
     return common::Status::AlreadyExists("stream already has a source");
   }
-  trees_[stream] = std::make_unique<DisseminationTree>(
+  auto& tree = trees_[stream];
+  tree = std::make_unique<DisseminationTree>(
       stream, network_->position(source_node), config_.tree);
+  if (static_cast<size_t>(stream) >= streams_.size()) {
+    streams_.resize(static_cast<size_t>(stream) + 1);
+  }
+  streams_[static_cast<size_t>(stream)].tree = tree.get();
   source_nodes_[stream] = source_node;
   // The source must hear hop acks in reliable mode; the handler is inert
   // otherwise (nothing ever addresses a source in fire-and-forget mode).
@@ -125,20 +131,22 @@ void Disseminator::SetDeliveryHandler(DeliveryHandler handler) {
 
 Disseminator::NodeCounters& Disseminator::CountersFor(common::StreamId stream,
                                                       common::EntityId node) {
-  auto it = node_counters_.find({stream, node});
-  if (it != node_counters_.end()) return it->second;
+  std::vector<NodeCounters>& slots =
+      streams_[static_cast<size_t>(stream)].counters;
+  const size_t index = static_cast<size_t>(node + 1);
+  if (index >= slots.size()) slots.resize(index + 1);
+  NodeCounters& counters = slots[index];
+  if (counters.forwarded != nullptr) return counters;
   telemetry::Labels labels = telemetry::MakeLabels(
       {{"stream", std::to_string(stream)},
        {"node", node == common::kInvalidEntity ? std::string("source")
                                                : std::to_string(node)}});
-  NodeCounters counters;
   counters.forwarded =
       config_.metrics->counter("dissemination.forwarded", labels);
   counters.filtered = config_.metrics->counter("dissemination.filtered", labels);
   counters.delivered =
       config_.metrics->counter("dissemination.delivered", std::move(labels));
-  return node_counters_.emplace(std::make_pair(stream, node), counters)
-      .first->second;
+  return counters;
 }
 
 void Disseminator::Forward(const DisseminationTree& tree,
@@ -165,7 +173,7 @@ void Disseminator::Forward(const DisseminationTree& tree,
   if (targets.empty()) return;
   // One hop is a batch: every outgoing message shares the same source,
   // size, and trace id, so hoist them and only the destination varies.
-  const int64_t size_bytes = env.tuple->SizeBytes();
+  const int64_t size_bytes = env.size_bytes;
   const int64_t trace_id = env.tuple->trace_id;
   for (common::EntityId target : targets) {
     sim::Message msg;
@@ -174,10 +182,10 @@ void Disseminator::Forward(const DisseminationTree& tree,
     msg.type = kMsgTupleForward;
     msg.size_bytes = size_bytes;
     msg.trace_id = trace_id;
-    msg.payload = env;
+    TupleEnvelope& copy = msg.payload.emplace<TupleEnvelope>(env);
     if (config_.reliable) {
       int64_t seq = channel_.NextSeq();
-      std::any_cast<TupleEnvelope&>(msg.payload).seq = seq;
+      copy.seq = seq;
       common::Status s = network_->Send(msg);
       DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
       channel_.Track(seq, std::move(msg));
@@ -212,9 +220,10 @@ void Disseminator::CountDeliveryFailure() {
 }
 
 common::Status Disseminator::Publish(const engine::Tuple& tuple) {
-  auto it = trees_.find(tuple.stream);
-  if (it == trees_.end()) return common::Status::NotFound("unknown stream");
+  StreamSlot* slot = SlotOf(tuple.stream);
+  if (slot == nullptr) return common::Status::NotFound("unknown stream");
   TupleEnvelope env;
+  env.size_bytes = tuple.SizeBytes();
   if (config_.trace != nullptr && config_.trace->enabled()) {
     engine::Tuple traced = tuple;
     traced.trace_id = config_.trace->MaybeStartTrace();
@@ -235,7 +244,7 @@ common::Status Disseminator::Publish(const engine::Tuple& tuple) {
     point->push_back(engine::AsDouble(v));
   }
   env.point = std::move(point);
-  Forward(*it->second, common::kInvalidEntity, source_nodes_.at(tuple.stream),
+  Forward(*slot->tree, common::kInvalidEntity, source_nodes_.at(tuple.stream),
           env);
   return common::Status::OK();
 }
@@ -248,18 +257,18 @@ bool Disseminator::HandleMessage(const sim::Message& msg) {
   }
   const common::EntityId entity = by_node_[static_cast<size_t>(msg.to)];
   if (entity == common::kInvalidEntity) return false;
-  const auto* env = std::any_cast<TupleEnvelope>(&msg.payload);
+  const auto* env = msg.payload.get<TupleEnvelope>();
   DSPS_CHECK(env != nullptr);
   // Reliable hop: retries and network duplicates are acked but never
   // double-processed or double-forwarded.
   if (env->seq != 0 && !channel_.Receive(msg, env->seq)) return true;
-  const DisseminationTree* tree = trees_.at(env->tuple->stream).get();
+  const DisseminationTree* tree = SlotOf(env->tuple->stream)->tree;
   if (tree->LocalMatch(entity, env->point->data())) {
     ++delivered_;
     if (config_.metrics != nullptr) {
       CountersFor(env->tuple->stream, entity).delivered->Increment();
     }
-    if (delivery_) delivery_(entity, *env->tuple);
+    if (delivery_) delivery_(entity, env->tuple);
   }
   // Forward down the tree.
   Forward(*tree, entity, msg.to, *env);

@@ -32,7 +32,11 @@ struct TupleEnvelope {
   /// Reliable-mode sequence number (0 = fire-and-forget). Unique per
   /// Disseminator; the receiver acks it and suppresses re-deliveries.
   int64_t seq = 0;
+  /// Wire size of the tuple, computed once at the source.
+  int64_t size_bytes = 0;
 };
+static_assert(sim::Payload::StoresInline<TupleEnvelope>(),
+              "tuple forwards must not allocate for their payload");
 
 /// Runs the dissemination trees of all streams over the simulated network:
 /// sources publish tuples, each entity's wrapper/gateway node forwards them
@@ -87,9 +91,10 @@ class Disseminator {
                                    std::vector<interest::Box> boxes);
 
   /// Called whenever a tuple matching the entity's local interest arrives
-  /// at its gateway.
-  using DeliveryHandler =
-      std::function<void(common::EntityId, const engine::Tuple&)>;
+  /// at its gateway. The tuple is the one shared by every hop of its
+  /// publication; a handler that keeps it shares it rather than copying.
+  using DeliveryHandler = std::function<void(
+      common::EntityId, const std::shared_ptr<const engine::Tuple>&)>;
   void SetDeliveryHandler(DeliveryHandler handler);
 
   /// Publishes a tuple at its stream's source: sends it to the (filtered)
@@ -150,10 +155,24 @@ class Disseminator {
   };
   NodeCounters& CountersFor(common::StreamId stream, common::EntityId node);
 
+  /// Per-stream hot-path state, indexed densely by stream id.
+  struct StreamSlot {
+    DisseminationTree* tree = nullptr;
+    /// Tree-node counters indexed by node + 1 (slot 0 is the source);
+    /// grown on demand, a null `forwarded` marks a slot not yet interned.
+    std::vector<NodeCounters> counters;
+  };
+  /// The stream's slot; null if the stream has no source.
+  StreamSlot* SlotOf(common::StreamId stream) {
+    return stream >= 0 && static_cast<size_t>(stream) < streams_.size() &&
+                   streams_[static_cast<size_t>(stream)].tree != nullptr
+               ? &streams_[static_cast<size_t>(stream)]
+               : nullptr;
+  }
+
   sim::Network* network_;
   Config config_;
-  std::map<std::pair<common::StreamId, common::EntityId>, NodeCounters>
-      node_counters_;
+  std::vector<StreamSlot> streams_;
   std::map<common::StreamId, std::unique_ptr<DisseminationTree>> trees_;
   std::map<common::StreamId, common::SimNodeId> source_nodes_;
   /// Gateway of each entity, indexed by entity id (kInvalidSimNode = not

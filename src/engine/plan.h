@@ -42,7 +42,7 @@ class QueryPlan {
   common::Status Connect(common::OperatorId from, common::OperatorId to,
                          int to_port);
 
-  /// Feeds `stream` into (to, to_port).
+  /// Feeds `stream` (a non-negative id) into (to, to_port).
   common::Status BindStream(common::StreamId stream, common::OperatorId to,
                             int to_port);
 

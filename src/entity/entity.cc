@@ -37,7 +37,6 @@ Entity::Entity(common::EntityId id, sim::Network* network,
           telemetry::MakeLabels({{"entity", std::to_string(id)},
                                  {"processor", std::to_string(i)}}));
     }
-    proc_by_node_[processor_nodes[i]] = static_cast<int>(i);
     processors_.push_back(std::move(proc));
   }
   if (config.metrics != nullptr) {
@@ -71,12 +70,16 @@ void Entity::InstallHandlers() {
 
 common::ProcessorId Entity::DelegateFor(common::StreamId stream) {
   if (config_.single_receiver) return processors_.front()->id();
-  auto it = delegates_.find(stream);
-  if (it != delegates_.end()) return it->second;
+  DSPS_CHECK(stream >= 0);
+  const auto index = static_cast<size_t>(stream);
+  if (index < delegates_.size() && delegates_[index] != kNoDelegate) {
+    return delegates_[index];
+  }
   common::ProcessorId pid =
       processors_[next_delegate_ % processors_.size()]->id();
   next_delegate_ = (next_delegate_ + 1) % static_cast<int>(processors_.size());
-  delegates_[stream] = pid;
+  if (index >= delegates_.size()) delegates_.resize(index + 1, kNoDelegate);
+  delegates_[index] = pid;
   return pid;
 }
 
@@ -200,31 +203,35 @@ common::Status Entity::RemoveQuery(common::QueryId query) {
   return common::Status::OK();
 }
 
-void Entity::OnStreamTuple(const engine::Tuple& tuple) {
+void Entity::OnStreamTuple(std::shared_ptr<const engine::Tuple> tuple) {
   // Gateway -> delegate hop (Figure 3: the delegation processor routes
   // the stream inside the entity).
-  common::ProcessorId delegate = DelegateFor(tuple.stream);
+  common::ProcessorId delegate = DelegateFor(tuple->stream);
   int idx = ProcIndexOf(delegate);
   DSPS_CHECK(idx >= 0);
-  StreamTupleEnvelope env;
-  env.tuple = std::make_shared<const engine::Tuple>(tuple);
   sim::Message msg;
   msg.from = gateway_node();
   msg.to = processors_[idx]->node();
   msg.type = kMsgStreamTuple;
-  msg.size_bytes = tuple.SizeBytes();
-  msg.trace_id = tuple.trace_id;
-  msg.payload = std::move(env);
+  msg.size_bytes = tuple->SizeBytes();
+  msg.trace_id = tuple->trace_id;
+  msg.payload = StreamTupleEnvelope{std::move(tuple)};
   common::Status s = network_->Send(std::move(msg));
   DSPS_CHECK_MSG(s.ok(), "%s", s.ToString().c_str());
 }
 
 bool Entity::HandleMessage(const sim::Message& msg) {
-  auto node_it = proc_by_node_.find(msg.to);
-  if (node_it == proc_by_node_.end()) return false;
-  Processor* proc = processors_[node_it->second].get();
+  // An entity has a handful of processors: a scan beats any index.
+  Processor* proc = nullptr;
+  for (const auto& p : processors_) {
+    if (p->node() == msg.to) {
+      proc = p.get();
+      break;
+    }
+  }
+  if (proc == nullptr) return false;
   if (msg.type == kMsgStreamTuple) {
-    const auto* env = std::any_cast<StreamTupleEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<StreamTupleEnvelope>();
     if (env == nullptr) return false;
     common::StreamId stream = env->tuple->stream;
     auto route_to_query = [&](QueryState& state) {
@@ -268,7 +275,7 @@ bool Entity::HandleMessage(const sim::Message& msg) {
     return true;
   }
   if (msg.type == kMsgFragmentTuple) {
-    const auto* env = std::any_cast<FragmentTupleEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<FragmentTupleEnvelope>();
     if (env == nullptr) return false;
     common::Status s = proc->Submit(env->fragment, env->op, env->port,
                                     *env->tuple);
@@ -469,7 +476,6 @@ common::ProcessorId Entity::AddProcessor(common::SimNodeId node) {
         telemetry::MakeLabels({{"entity", std::to_string(id_)},
                                {"processor", std::to_string(pid)}}));
   }
-  proc_by_node_[node] = static_cast<int>(pid);
   processors_.push_back(std::move(proc));
   return pid;
 }
@@ -501,13 +507,12 @@ common::Result<common::SimNodeId> Entity::RemoveLastProcessor() {
   }
   // Reassign stream delegations owned by the victim, round-robin over
   // the survivors.
-  for (auto& [stream, delegate] : delegates_) {
+  for (common::ProcessorId& delegate : delegates_) {
     if (delegate != victim) continue;
     delegate = processors_[next_delegate_ % victim]->id();
     next_delegate_ = (next_delegate_ + 1) % static_cast<int>(victim);
   }
   common::SimNodeId node = processors_.back()->node();
-  proc_by_node_.erase(node);
   retired_.push_back(std::move(processors_.back()));
   processors_.pop_back();
   return node;

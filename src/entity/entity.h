@@ -136,7 +136,8 @@ class Entity {
 
   /// Entry point: a stream tuple reached this entity (delivered by the
   /// dissemination layer at the gateway, at the current simulated time).
-  void OnStreamTuple(const engine::Tuple& tuple);
+  /// The tuple is shared with the delegate hop, not copied.
+  void OnStreamTuple(std::shared_ptr<const engine::Tuple> tuple);
 
   /// A produced query result with its delay accounting.
   struct ResultRecord {
@@ -232,8 +233,10 @@ class Entity {
   /// Processors removed by RemoveLastProcessor: kept alive (their pending
   /// simulator callbacks capture the raw pointer) but never routed to.
   std::vector<std::unique_ptr<Processor>> retired_;
-  std::map<common::SimNodeId, int> proc_by_node_;
-  std::map<common::StreamId, common::ProcessorId> delegates_;
+  /// Delegate processor of each stream, indexed by stream id
+  /// (kNoDelegate = not yet assigned).
+  static constexpr common::ProcessorId kNoDelegate = -1;
+  std::vector<common::ProcessorId> delegates_;
   int next_delegate_ = 0;
   std::map<common::QueryId, QueryState> queries_;
   std::map<common::FragmentId, common::QueryId> query_of_fragment_;

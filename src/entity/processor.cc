@@ -75,15 +75,24 @@ common::Status Processor::Submit(common::FragmentId fragment,
   }
   if (!outputs.empty() && emission_) {
     // Deliver outputs when the CPU work completes.
-    auto shared =
-        std::make_shared<std::vector<engine::TaggedOutput>>(std::move(outputs));
-    sim->ScheduleAt(completion, [this, shared, completion]() {
-      for (auto& out : *shared) {
-        emission_(Emission{std::move(out), completion});
-      }
-    });
+    if (pending_head_ > 0 && pending_head_ * 2 >= pending_.size()) {
+      // Reclaim the emitted prefix once it is at least half the queue.
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<ptrdiff_t>(pending_head_));
+      pending_head_ = 0;
+    }
+    pending_.push_back(PendingEmission{completion, std::move(outputs)});
+    sim->ScheduleAt(completion, [this]() { EmitFront(); });
   }
   return common::Status::OK();
+}
+
+void Processor::EmitFront() {
+  // Taken off the queue first: emissions may submit more work here.
+  PendingEmission done = std::move(pending_[pending_head_++]);
+  for (auto& out : done.outputs) {
+    emission_(Emission{std::move(out), done.completion});
+  }
 }
 
 void Processor::SetTelemetry(telemetry::MetricsRegistry* metrics,

@@ -86,6 +86,18 @@ class Processor {
   double committed_load_ = 0.0;
   int64_t tuples_processed_ = 0;
   EmissionHandler emission_;
+  /// Outputs awaiting their CPU completion, oldest first from
+  /// pending_head_. Completion times never decrease (the CPU is FIFO) and
+  /// same-time events pop in schedule order, so each completion event
+  /// emits the front entry — the event captures only `this`, which keeps
+  /// its callback allocation-free.
+  struct PendingEmission {
+    double completion;
+    std::vector<engine::TaggedOutput> outputs;
+  };
+  std::vector<PendingEmission> pending_;
+  size_t pending_head_ = 0;
+  void EmitFront();
   telemetry::TraceLog* trace_ = nullptr;
   telemetry::Counter* tuples_counter_ = nullptr;
   telemetry::Sketch* queue_wait_hist_ = nullptr;

@@ -94,7 +94,7 @@ common::Status DistributedChain::Submit(const engine::Tuple& tuple) {
 
 bool DistributedChain::HandleMessage(const sim::Message& msg) {
   if (msg.type != kMsgChainTuple) return false;
-  const auto* env = std::any_cast<Envelope>(&msg.payload);
+  const auto* env = msg.payload.get<Envelope>();
   if (env == nullptr) return false;
   // The envelope's next operator is the one the sender chose: recover it
   // as the best not-done operator hosted on this node.

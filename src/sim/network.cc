@@ -1,5 +1,6 @@
 #include "sim/network.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -31,7 +32,7 @@ Network::Network(Simulator* simulator) : sim_(simulator) {
 }
 
 common::SimNodeId Network::AddNode(const Point& position) {
-  nodes_.push_back(NodeState{position, nullptr, 0});
+  nodes_.push_back(NodeState{position, nullptr, 0, {}});
   return static_cast<common::SimNodeId>(nodes_.size() - 1);
 }
 
@@ -47,17 +48,39 @@ void Network::SetDefaultLinkModel(LinkModel model) {
 
 void Network::SetLink(common::SimNodeId from, common::SimNodeId to,
                       const LinkParams& params) {
-  links_[{from, to}].params = params;
+  DSPS_CHECK(from >= 0 && static_cast<size_t>(from) < nodes_.size());
+  DSPS_CHECK(to >= 0 && static_cast<size_t>(to) < nodes_.size());
+  GetOrCreateLink(from, to, &params).params = params;
+}
+
+std::vector<Network::OutLink>::const_iterator Network::Seek(
+    const std::vector<OutLink>& out, common::SimNodeId to) {
+  return std::lower_bound(
+      out.begin(), out.end(), to,
+      [](const OutLink& l, common::SimNodeId id) { return l.to < id; });
+}
+
+uint32_t Network::FindLink(common::SimNodeId from, common::SimNodeId to) const {
+  if (from < 0 || static_cast<size_t>(from) >= nodes_.size()) return kNoLink;
+  const std::vector<OutLink>& out = nodes_[from].out;
+  auto it = Seek(out, to);
+  return it != out.end() && it->to == to ? it->link : kNoLink;
 }
 
 Network::LinkState& Network::GetOrCreateLink(common::SimNodeId from,
-                                             common::SimNodeId to) {
-  auto it = links_.find({from, to});
-  if (it != links_.end()) return it->second;
+                                             common::SimNodeId to,
+                                             const LinkParams* params) {
+  std::vector<OutLink>& out = nodes_[from].out;
+  auto it = Seek(out, to);
+  if (it != out.end() && it->to == to) return links_[it->link];
   LinkState state;
-  state.params = default_model_(nodes_[from].position, nodes_[to].position);
-  return links_.emplace(std::make_pair(from, to), std::move(state))
-      .first->second;
+  state.params = params != nullptr
+                     ? *params
+                     : default_model_(nodes_[from].position,
+                                      nodes_[to].position);
+  out.insert(it, OutLink{to, static_cast<uint32_t>(links_.size())});
+  links_.push_back(std::move(state));
+  return links_.back();
 }
 
 void Network::CountFaultDrop() {
@@ -78,7 +101,7 @@ void Network::CountFaultDrop() {
   }
 }
 
-void Network::ScheduleDelivery(double deliver_at, Message msg) {
+void Network::ScheduleDelivery(double deliver_at, Message&& msg) {
   // Park the message in an arena slot; the delivery lambda captures only
   // {this, slot} — small enough for std::function's inline storage, so
   // scheduling a delivery performs no heap allocation.
@@ -138,7 +161,7 @@ void Network::DeliverSlot(uint32_t slot) {
 void Network::ReleaseSlot(uint32_t slot) {
   // Drop the payload now (it may own arbitrary application state); the
   // slot shell is recycled for the next Send.
-  arena_[slot] = Message{};
+  arena_[slot].payload.reset();
   free_slots_.push_back(slot);
 }
 
@@ -199,7 +222,8 @@ common::Status Network::Send(Message msg) {
   }
   if (verdict.duplicate && msg.from != msg.to) {
     // The duplicate gets its own arena slot (a copy); the original moves.
-    ScheduleDelivery(deliver_at + verdict.duplicate_extra_latency_s, msg);
+    ScheduleDelivery(deliver_at + verdict.duplicate_extra_latency_s,
+                     Message(msg));
   }
   ScheduleDelivery(deliver_at, std::move(msg));
   return common::Status::OK();
@@ -212,9 +236,8 @@ const Point& Network::position(common::SimNodeId node) const {
 
 LinkStats Network::link_stats(common::SimNodeId from,
                               common::SimNodeId to) const {
-  auto it = links_.find({from, to});
-  if (it == links_.end()) return LinkStats{};
-  return it->second.stats;
+  uint32_t link = FindLink(from, to);
+  return link == kNoLink ? LinkStats{} : links_[link].stats;
 }
 
 int64_t Network::egress_bytes(common::SimNodeId node) const {
@@ -225,9 +248,13 @@ int64_t Network::egress_bytes(common::SimNodeId node) const {
 std::vector<Network::LinkRecord> Network::AllLinkStats() const {
   std::vector<LinkRecord> out;
   out.reserve(links_.size());
-  for (const auto& [key, link] : links_) {
-    if (link.stats.messages > 0) {
-      out.push_back(LinkRecord{key.first, key.second, link.stats});
+  for (size_t from = 0; from < nodes_.size(); ++from) {
+    for (const OutLink& l : nodes_[from].out) {
+      const LinkStats& stats = links_[l.link].stats;
+      if (stats.messages > 0) {
+        out.push_back(
+            LinkRecord{static_cast<common::SimNodeId>(from), l.to, stats});
+      }
     }
   }
   return out;
@@ -236,7 +263,7 @@ std::vector<Network::LinkRecord> Network::AllLinkStats() const {
 void Network::SetMetrics(telemetry::MetricsRegistry* metrics, bool per_link) {
   metrics_ = metrics;
   per_link_metrics_ = per_link && metrics != nullptr;
-  for (auto& [key, link] : links_) {
+  for (LinkState& link : links_) {
     link.bytes_counter = nullptr;
     link.messages_counter = nullptr;
   }
@@ -263,7 +290,7 @@ void Network::ResetStats() {
   total_bytes_ = 0;
   total_messages_ = 0;
   for (auto& node : nodes_) node.egress_bytes = 0;
-  for (auto& [key, link] : links_) link.stats = LinkStats{};
+  for (LinkState& link : links_) link.stats = LinkStats{};
 }
 
 }  // namespace dsps::sim

@@ -1,17 +1,16 @@
 #ifndef DSPS_SIM_NETWORK_H_
 #define DSPS_SIM_NETWORK_H_
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
 #include "sim/fault_injector.h"
+#include "sim/payload.h"
 #include "sim/simulator.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
@@ -40,8 +39,8 @@ struct Message {
   /// Telemetry trace of the tuple this message carries; 0 = untraced.
   /// The network records an in-flight span per traced message.
   int64_t trace_id = 0;
-  /// Application payload.
-  std::any payload;
+  /// Application payload (inline up to Payload::kInlineBytes).
+  Payload payload;
 };
 
 /// Link parameters. Delivery time of a message of size S on link (a,b):
@@ -64,6 +63,9 @@ struct LinkStats {
 /// created explicitly, or lazily from a default model (a function of the two
 /// endpoints' positions) the first time a pair communicates. Every link
 /// tracks bytes and serialization (one transfer at a time per direction).
+/// Links live in one dense array; each node keeps its out-links as a small
+/// vector sorted by destination, so a Send finds its link without a tree
+/// or hash lookup.
 class Network {
  public:
   using Handler = std::function<void(const Message&)>;
@@ -170,10 +172,17 @@ class Network {
   Simulator* simulator() { return sim_; }
 
  private:
+  /// One of a node's out-links: destination and index into links_.
+  struct OutLink {
+    common::SimNodeId to;
+    uint32_t link;
+  };
   struct NodeState {
     Point position;
     Handler handler;
     int64_t egress_bytes = 0;
+    /// Out-links created so far, ascending by destination.
+    std::vector<OutLink> out;
   };
   struct LinkState {
     LinkParams params;
@@ -184,15 +193,24 @@ class Network {
     telemetry::Counter* messages_counter = nullptr;
   };
 
-  LinkState& GetOrCreateLink(common::SimNodeId from, common::SimNodeId to);
-  void ScheduleDelivery(double deliver_at, Message msg);
+  /// First entry of a sorted out-link list whose destination is >= `to`.
+  static std::vector<OutLink>::const_iterator Seek(
+      const std::vector<OutLink>& out, common::SimNodeId to);
+  /// The link's index in links_, or kNoLink if the pair never had one.
+  static constexpr uint32_t kNoLink = UINT32_MAX;
+  uint32_t FindLink(common::SimNodeId from, common::SimNodeId to) const;
+  /// Creates the link (from the default model unless `params` is given)
+  /// on first use; both ids must be registered nodes.
+  LinkState& GetOrCreateLink(common::SimNodeId from, common::SimNodeId to,
+                             const LinkParams* params = nullptr);
+  void ScheduleDelivery(double deliver_at, Message&& msg);
   void DeliverSlot(uint32_t slot);
   void ReleaseSlot(uint32_t slot);
   void CountFaultDrop();
 
   Simulator* sim_;
   std::vector<NodeState> nodes_;
-  std::map<std::pair<common::SimNodeId, common::SimNodeId>, LinkState> links_;
+  std::vector<LinkState> links_;
   /// In-flight message arena. Each scheduled delivery parks its Message in
   /// a slot here instead of capturing it by value in the delivery lambda:
   /// the `[this, slot]` capture fits std::function's small-buffer storage,

@@ -61,7 +61,7 @@ void ReliableChannel::OnTimeout(int64_t seq) {
 
 bool ReliableChannel::HandleAck(const Message& msg) {
   if (msg.type != ack_type_) return false;
-  const auto* ack = std::any_cast<AckEnvelope>(&msg.payload);
+  const auto* ack = msg.payload.get<AckEnvelope>();
   DSPS_CHECK(ack != nullptr);
   auto it = pending_.find(ack->seq);
   if (it != pending_.end()) {

@@ -24,7 +24,7 @@ void Simulator::Schedule(SimTime delay, Callback fn) {
 
 void Simulator::ScheduleAt(SimTime t, Callback fn) {
   DSPS_DCHECK(fn != nullptr);
-  Push(SanitizeTime(t), kInvalidTimer, std::move(fn));
+  Push(SanitizeTime(t), std::move(fn), /*cancellable=*/false);
 }
 
 TimerId Simulator::ScheduleCancellable(SimTime delay, Callback fn) {
@@ -34,60 +34,74 @@ TimerId Simulator::ScheduleCancellable(SimTime delay, Callback fn) {
 
 TimerId Simulator::ScheduleCancellableAt(SimTime t, Callback fn) {
   DSPS_DCHECK(fn != nullptr);
-  TimerId timer = next_timer_++;
-  Push(SanitizeTime(t), timer, std::move(fn));
+  uint32_t slot = Push(SanitizeTime(t), std::move(fn), /*cancellable=*/true);
+  // A counter in the high bits keeps handles unique across slot reuse
+  // and increasing in scheduling order.
+  TimerId timer = (next_timer_++ << 32) | slot;
+  slot_timer_[slot] = timer;
   return timer;
 }
 
 bool Simulator::Cancel(TimerId timer) {
   if (timer == kInvalidTimer) return false;
-  auto it = timer_pos_.find(timer);
-  if (it == timer_pos_.end()) return false;
-  size_t pos = it->second;
-  timer_pos_.erase(it);
-  size_t last = heap_.size() - 1;
-  if (pos != last) {
-    Event moved = std::move(heap_[last]);
-    heap_.pop_back();
-    MoveInto(pos, std::move(moved));
-    // The relocated event may violate the heap property in either
-    // direction relative to its new neighborhood.
-    if (pos > 0 && Before(heap_[pos], heap_[(pos - 1) / 4])) {
-      SiftUp(pos);
-    } else {
-      SiftDown(pos);
-    }
-  } else {
-    heap_.pop_back();
-  }
+  uint32_t slot = static_cast<uint32_t>(timer);
+  if (slot >= slot_timer_.size() || slot_timer_[slot] != timer) return false;
+  RemoveAt(slot_pos_[slot]);
+  slot_timer_[slot] = kInvalidTimer;
+  slot_fn_[slot] = nullptr;
+  free_slots_.push_back(slot);
   return true;
 }
 
-void Simulator::MoveInto(size_t pos, Event ev) {
-  if (ev.timer != kInvalidTimer) timer_pos_[ev.timer] = pos;
-  heap_[pos] = std::move(ev);
+uint32_t Simulator::Push(SimTime t, Callback fn, bool cancellable) {
+  uint32_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slot_fn_[slot] = std::move(fn);
+  } else {
+    slot = static_cast<uint32_t>(slot_fn_.size());
+    slot_fn_.push_back(std::move(fn));
+    slot_pos_.push_back(0);
+    slot_timer_.push_back(kInvalidTimer);
+  }
+  heap_.push_back(Key{t, next_seq_++, slot, cancellable ? 1u : 0u});
+  SiftUp(heap_.size() - 1);
+  return slot;
 }
 
-void Simulator::Push(SimTime t, TimerId timer, Callback fn) {
-  heap_.push_back(Event{t, next_seq_++, timer, std::move(fn)});
-  size_t pos = heap_.size() - 1;
-  if (timer != kInvalidTimer) timer_pos_[timer] = pos;
-  SiftUp(pos);
-}
-
-void Simulator::SiftUp(size_t pos) {
-  while (pos > 0) {
-    size_t parent = (pos - 1) / 4;
-    if (!Before(heap_[pos], heap_[parent])) break;
-    Event tmp = std::move(heap_[pos]);
-    MoveInto(pos, std::move(heap_[parent]));
-    MoveInto(parent, std::move(tmp));
-    pos = parent;
+void Simulator::RemoveAt(size_t pos) {
+  size_t last = heap_.size() - 1;
+  if (pos == last) {
+    heap_.pop_back();
+    return;
+  }
+  Key moved = heap_[last];
+  heap_.pop_back();
+  Place(pos, moved);
+  // The relocated key may violate the heap property in either direction
+  // relative to its new neighborhood.
+  if (pos > 0 && Before(moved, heap_[(pos - 1) / 4])) {
+    SiftUp(pos);
+  } else {
+    SiftDown(pos);
   }
 }
 
+void Simulator::SiftUp(size_t pos) {
+  const Key key = heap_[pos];
+  while (pos > 0) {
+    size_t parent = (pos - 1) / 4;
+    if (!Before(key, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, key);
+}
+
 void Simulator::SiftDown(size_t pos) {
-  size_t n = heap_.size();
+  const Key key = heap_[pos];
+  const size_t n = heap_.size();
   for (;;) {
     size_t first = 4 * pos + 1;
     if (first >= n) break;
@@ -96,38 +110,26 @@ void Simulator::SiftDown(size_t pos) {
     for (size_t c = first + 1; c < end; ++c) {
       if (Before(heap_[c], heap_[best])) best = c;
     }
-    if (!Before(heap_[best], heap_[pos])) break;
-    Event tmp = std::move(heap_[pos]);
-    MoveInto(pos, std::move(heap_[best]));
-    MoveInto(best, std::move(tmp));
+    if (!Before(heap_[best], key)) break;
+    Place(pos, heap_[best]);
     pos = best;
   }
-}
-
-Simulator::Event Simulator::PopTop() {
-  Event ev = std::move(heap_[0]);
-  if (ev.timer != kInvalidTimer) timer_pos_.erase(ev.timer);
-  size_t last = heap_.size() - 1;
-  if (last > 0) {
-    Event moved = std::move(heap_[last]);
-    heap_.pop_back();
-    MoveInto(0, std::move(moved));
-    SiftDown(0);
-  } else {
-    heap_.pop_back();
-  }
-  return ev;
+  Place(pos, key);
 }
 
 bool Simulator::Step() {
   if (heap_.empty()) return false;
-  // The callback is moved out of the heap (the event's slot is recycled
-  // before it runs), so the event can freely schedule more events.
-  Event ev = PopTop();
-  DSPS_CHECK(ev.time >= now_);
-  now_ = ev.time;
+  const Key top = heap_[0];
+  RemoveAt(0);
+  DSPS_CHECK(top.time >= now_);
+  now_ = top.time;
   ++events_executed_;
-  ev.fn();
+  // The callback leaves the slab and its slot is recycled before it runs,
+  // so the event can freely schedule (and cancel) more events.
+  Callback fn = std::move(slot_fn_[top.slot]);
+  slot_timer_[top.slot] = kInvalidTimer;
+  free_slots_.push_back(top.slot);
+  fn();
   return true;
 }
 

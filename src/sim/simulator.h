@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 namespace dsps::sim {
@@ -22,10 +22,11 @@ inline constexpr TimerId kInvalidTimer = 0;
 /// scheduled for the same instant run in the order they were scheduled —
 /// this makes every run exactly reproducible.
 ///
-/// The queue is an indexed 4-ary heap in a flat vector: pops move the
-/// callback out (no std::function copy per event), and events scheduled
-/// via ScheduleCancellable can be removed in O(log n) — their heap slots
-/// are reclaimed immediately instead of lingering as dud entries.
+/// The queue is an indexed 4-ary heap of 24-byte trivially-copyable keys
+/// {time, seq, slot}; the callbacks stay put in a recycled slab indexed by
+/// `slot`, so sifting moves only keys. A slot→heap-position array lets
+/// Cancel() remove a cancellable event in O(log n) — its heap entry and
+/// slot are reclaimed immediately instead of lingering as dud entries.
 class Simulator {
  public:
   using Callback = std::function<void()>;
@@ -83,31 +84,42 @@ class Simulator {
   size_t pending_events() const { return heap_.size(); }
 
  private:
-  struct Event {
+  /// Heap entry: the ordering key plus the slab slot of the callback.
+  struct Key {
     SimTime time;
     uint64_t seq;
-    /// Cancellation handle; kInvalidTimer for plain events.
-    TimerId timer;
-    Callback fn;
+    uint32_t slot;
+    /// Set for ScheduleCancellable events, the only ones whose heap
+    /// position is tracked (fills what would be padding).
+    uint32_t cancellable;
   };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
 
-  /// True when the event at `a` must pop before the event at `b`:
-  /// (time, seq) lexicographic — the strict total order that makes every
-  /// heap implementation pop in the identical sequence.
-  static bool Before(const Event& a, const Event& b) {
+  /// True when the event `a` must pop before the event `b`: (time, seq)
+  /// lexicographic — the strict total order that makes every heap
+  /// implementation pop in the identical sequence.
+  static bool Before(const Key& a, const Key& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 
   SimTime SanitizeTime(SimTime t) const;
-  void Push(SimTime t, TimerId timer, Callback fn);
-  /// Removes the root event and returns it (callback moved, not copied).
-  Event PopTop();
-  /// Restores the heap property for the event at `pos` after its key may
-  /// have decreased (toward the root) and updates the position index.
+  /// Parks `fn` in a slab slot and pushes its key; returns the slot.
+  uint32_t Push(SimTime t, Callback fn, bool cancellable);
+  /// Removes the heap entry at `pos`, restoring the heap property.
+  void RemoveAt(size_t pos);
+  /// Writes `key` at heap position `pos`, recording the position of a
+  /// cancellable event (plain events pay nothing for cancellability).
+  void Place(size_t pos, const Key& key) {
+    heap_[pos] = key;
+    if (key.cancellable != 0) {
+      slot_pos_[key.slot] = static_cast<uint32_t>(pos);
+    }
+  }
+  /// Moves the key at `pos` toward the root / the leaves until the heap
+  /// property holds again.
   void SiftUp(size_t pos);
   void SiftDown(size_t pos);
-  void MoveInto(size_t pos, Event ev);
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
@@ -116,10 +128,18 @@ class Simulator {
   bool stopped_ = false;
   /// Indexed 4-ary heap: children of i at 4i+1..4i+4, parent at (i-1)/4.
   /// Flatter than a binary heap, so pops touch ~half the cache lines.
-  std::vector<Event> heap_;
-  /// Heap position of every live cancellable event (plain events are not
-  /// tracked — the common case pays nothing for cancellability).
-  std::unordered_map<TimerId, size_t> timer_pos_;
+  std::vector<Key> heap_;
+  /// Callback slab, indexed by slot. A popped event's callback is moved
+  /// out and its slot recycled (LIFO) before the callback runs.
+  std::vector<Callback> slot_fn_;
+  /// Heap position of each slot holding a cancellable event.
+  std::vector<uint32_t> slot_pos_;
+  /// Handle of each slot's cancellable occupant (kInvalidTimer for plain
+  /// events and free slots). A TimerId carries its slot in the low 32
+  /// bits, so Cancel() needs no lookup table: the handle is live exactly
+  /// when its slot still holds it.
+  std::vector<TimerId> slot_timer_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace dsps::sim

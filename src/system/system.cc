@@ -137,8 +137,7 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
       common::SimNodeId node = network_->AddNode(pos);
       network_->SetHandler(node, [this](const sim::Message& msg) {
         if (msg.type != kMsgClientResult) return;
-        const auto* env =
-            std::any_cast<ClientResultEnvelope>(&msg.payload);
+        const auto* env = msg.payload.get<ClientResultEnvelope>();
         if (env == nullptr) return;
         // Reliable result: acked, and delivered once per sequence number.
         if (env->seq != 0 && !result_channel_->Receive(msg, env->seq)) {
@@ -179,7 +178,8 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
   disseminator_ = std::make_unique<dissemination::Disseminator>(
       network_.get(), diss_config);
   disseminator_->SetDeliveryHandler(
-      [this](common::EntityId entity, const engine::Tuple& tuple) {
+      [this](common::EntityId entity,
+             const std::shared_ptr<const engine::Tuple>& tuple) {
         metrics_.delivered_tuples += 1;
         entities_[entity]->OnStreamTuple(tuple);
       });
@@ -221,26 +221,39 @@ System::System(const Config& config) : config_(config), rng_(config.seed) {
 
 void System::InstallGatewayDispatcher(common::EntityId entity) {
   entity::Entity* ent = entities_[entity].get();
+  // Typed dispatch: each message kind goes straight to the layer that
+  // owns it, so a tuple forward reaches the disseminator in one switch.
   network_->SetHandler(ent->gateway_node(), [this,
                                              ent](const sim::Message& msg) {
-    if (HandleSystemMessage(msg)) return;
-    if (ent->HandleMessage(msg)) return;
-    disseminator_->HandleMessage(msg);
+    switch (msg.type) {
+      case dissemination::kMsgTupleForward:
+      case dissemination::kMsgTupleAck:
+        disseminator_->HandleMessage(msg);
+        return;
+      case entity::kMsgStreamTuple:
+      case entity::kMsgFragmentTuple:
+      case entity::kMsgMigration:
+        ent->HandleMessage(msg);
+        return;
+      default:
+        HandleSystemMessage(msg);
+        return;
+    }
   });
 }
 
-bool System::HandleSystemMessage(const sim::Message& msg) {
-  if (result_channel_->HandleAck(msg)) return true;
+void System::HandleSystemMessage(const sim::Message& msg) {
+  if (result_channel_->HandleAck(msg)) return;
   if (msg.type == kMsgRehomeBatch) {
-    const auto* env = std::any_cast<RehomeBatchEnvelope>(&msg.payload);
+    const auto* env = msg.payload.get<RehomeBatchEnvelope>();
     DSPS_CHECK(env != nullptr);
     // A batch that reaches an already-evicted survivor is dead on
     // arrival: its process is gone, so no ack and no installs (the
     // control plane cancels the pending send; the queries stay
     // unplaced for re-dispatch to the next standby).
-    if (!IsAlive(env->target)) return true;
+    if (!IsAlive(env->target)) return;
     // Acked, and installed once per sequence number.
-    if (!rehome_channel_->Receive(msg, env->seq)) return true;
+    if (!rehome_channel_->Receive(msg, env->seq)) return;
     // The survivor re-initializes one query's state at a time: installs
     // within a batch serialize at install_latency_s, while different
     // survivors work concurrently — recovery time scales with the
@@ -253,9 +266,7 @@ bool System::HandleSystemMessage(const sim::Message& msg) {
         (void)InstallFromUnplaced(target, qid);
       });
     }
-    return true;
   }
-  return false;
 }
 
 void System::ShipResultToClient(common::EntityId entity,
@@ -1033,8 +1044,7 @@ void System::CancelPendingFor(common::EntityId entity) {
   std::vector<common::QueryId> stranded;
   failure_stats_.rehome_batches_cancelled +=
       rehome_channel_->CancelIf([&](const sim::Message& msg) {
-        const auto& batch = std::any_cast<const RehomeBatchEnvelope&>(
-            msg.payload);
+        const auto& batch = *msg.payload.get<RehomeBatchEnvelope>();
         if (batch.target != entity) return false;
         for (common::QueryId qid : batch.queries) {
           if (unplaced_.count(qid) > 0) stranded.push_back(qid);
@@ -1217,7 +1227,7 @@ void System::EnableFailureDetection(const FailureDetectionConfig& config,
     monitor_node_ = network_->AddNode({center, center});
     network_->SetHandler(monitor_node_, [this](const sim::Message& msg) {
       if (msg.type != kMsgHeartbeat) return;
-      const auto* env = std::any_cast<HeartbeatEnvelope>(&msg.payload);
+      const auto* env = msg.payload.get<HeartbeatEnvelope>();
       DSPS_CHECK(env != nullptr);
       OnHeartbeat(env->entity);
     });

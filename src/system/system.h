@@ -612,12 +612,13 @@ class System {
   common::EntityId AllocateOne(const engine::Query& query);
   void ScheduleEmission(size_t stream_index, double end_time);
   entity::Entity::EngineFactory MakeEngineFactory(int entity_index) const;
-  /// Installs the combined gateway dispatcher (system acks -> entity ->
-  /// dissemination) on the entity's gateway node.
+  /// Installs the gateway dispatcher on the entity's gateway node: it
+  /// switches on the message type to the disseminator, the entity, or
+  /// HandleSystemMessage.
   void InstallGatewayDispatcher(common::EntityId entity);
   /// Consumes system-level messages (client-result acks, re-home
-  /// batches). True if eaten.
-  bool HandleSystemMessage(const sim::Message& msg);
+  /// batches); ignores any other type.
+  void HandleSystemMessage(const sim::Message& msg);
   /// Shared eviction path of FailEntity and sweep detection: leaves the
   /// federation structures, purges the entity, re-homes its queries
   /// (failures go to unplaced_). Returns the number re-homed.

@@ -420,12 +420,13 @@ class MigrationTest : public ::testing::Test {
     return q;
   }
 
-  engine::Tuple KeyTuple(common::StreamId s, double ts, int64_t key) {
+  std::shared_ptr<const engine::Tuple> KeyTuple(common::StreamId s, double ts,
+                                                int64_t key) {
     engine::Tuple t;
     t.stream = s;
     t.timestamp = ts;
     t.values = {engine::Value{key}, engine::Value{1.0}};
-    return t;
+    return std::make_shared<const engine::Tuple>(std::move(t));
   }
 
   sim::Simulator sim_;
@@ -601,7 +602,7 @@ TEST(DistributedChainTest, AdaptiveBeatsStaticUnderDrift) {
       engine::Tuple t;
       t.stream = 0;
       t.timestamp = sim.now();
-      t.values = {engine::Value{rng.NextDouble()}};
+      t.values.emplace_back(rng.NextDouble());
       EXPECT_TRUE(chain.Submit(t).ok());
       sim.RunUntil(sim.now() + 1e-3);
     }

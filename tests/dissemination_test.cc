@@ -684,8 +684,8 @@ TEST_F(DisseminatorTest, DeliversExactlyMatchingTuples) {
   }
   std::map<common::EntityId, std::vector<double>> got;
   dissem.SetDeliveryHandler(
-      [&](common::EntityId e, const engine::Tuple& t) {
-        got[e].push_back(engine::AsDouble(t.values[0]));
+      [&](common::EntityId e, const std::shared_ptr<const engine::Tuple>& t) {
+        got[e].push_back(engine::AsDouble(t->values[0]));
       });
   // Publish values 0..39; value v should reach exactly entity v/10.
   for (int v = 0; v < 40; ++v) {
@@ -764,7 +764,9 @@ TEST_F(DisseminatorTest, RemoveEntityStopsDeliveryAndRepairsTree) {
   }
   std::map<common::EntityId, int> got;
   dissem.SetDeliveryHandler(
-      [&](common::EntityId e, const engine::Tuple&) { got[e] += 1; });
+      [&](common::EntityId e, const std::shared_ptr<const engine::Tuple>&) {
+        got[e] += 1;
+      });
   ASSERT_TRUE(dissem.Publish(MakeTuple(5)).ok());
   sim_.Run();
   EXPECT_EQ(got.size(), 4u);

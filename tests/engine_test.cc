@@ -264,6 +264,9 @@ TEST(QueryPlanTest, ConnectValidatesIds) {
   EXPECT_FALSE(plan.Connect(a, 99, 0).ok());
   EXPECT_FALSE(plan.Connect(a, a, 5).ok());
   EXPECT_FALSE(plan.BindStream(0, 99, 0).ok());
+  // Stream ids index per-stream tables downstream; negative ones never
+  // name a stream.
+  EXPECT_FALSE(plan.BindStream(common::kInvalidStream, a, 0).ok());
 }
 
 TEST(QueryPlanTest, TopologicalOrderRespectsEdges) {

@@ -53,12 +53,13 @@ Query PipelineQuery(common::QueryId id, int n_maps) {
   return q;
 }
 
-engine::Tuple MakeTuple(double v, double ts, common::StreamId stream = 0) {
+std::shared_ptr<const engine::Tuple> MakeTuple(double v, double ts,
+                                               common::StreamId stream = 0) {
   engine::Tuple t;
   t.stream = stream;
   t.timestamp = ts;
   t.values = {engine::Value{v}, engine::Value{1.0}};
-  return t;
+  return std::make_shared<const engine::Tuple>(std::move(t));
 }
 
 class EntityTest : public ::testing::Test {
@@ -274,7 +275,7 @@ TEST_F(EntityTest, IndexedDelegationMatchesNaive) {
       t.timestamp = sim.now();
       t.values = {engine::Value{rng.Uniform(0, 100)},
                   engine::Value{rng.Uniform(0, 100)}};
-      ent.OnStreamTuple(t);
+      ent.OnStreamTuple(std::make_shared<const engine::Tuple>(std::move(t)));
       sim.Run();
     }
     return results;

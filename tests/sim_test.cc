@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -215,6 +220,127 @@ TEST(SimulatorTest, CancelFromEventDisarmsSameTimeLaterTimer) {
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
+/// Drives a Simulator with a random interleaving of Schedule,
+/// ScheduleCancellable, Cancel and Step — events themselves schedule and
+/// cancel too — and checks every pop and every Cancel result against a
+/// std::set reference model of the pending (time, seq) keys.
+class SimulatorModel {
+ public:
+  using Key = std::pair<SimTime, uint64_t>;
+
+  explicit SimulatorModel(uint64_t seed) : rng_(seed) {}
+
+  void RandomOp() {
+    uint64_t op = rng_.NextUint64(10);
+    if (op < 3) {
+      ScheduleOne(/*cancellable=*/false);
+    } else if (op < 6) {
+      ScheduleOne(/*cancellable=*/true);
+    } else if (op < 8) {
+      CancelRandom();
+    } else {
+      StepOne();
+    }
+    EXPECT_EQ(sim_.pending_events(), pending_.size());
+  }
+
+  void Drain() {
+    while (!pending_.empty()) StepOne();
+    EXPECT_FALSE(sim_.Step());
+  }
+
+  uint64_t fired() const { return fired_; }
+  uint64_t cancelled() const { return cancelled_; }
+
+ private:
+  SimTime RandomDelay() {
+    // A few fixed delays make same-instant ties (the seq tie-break) common.
+    switch (rng_.NextUint64(4)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return 0.25;
+      case 2:
+        return 1.0;
+      default:
+        return rng_.Uniform(0.0, 2.0);
+    }
+  }
+
+  void ScheduleOne(bool cancellable) {
+    SimTime delay = RandomDelay();
+    Key key{sim_.now() + delay, next_seq_++};
+    pending_.insert(key);
+    auto fn = [this, key] { Fire(key); };
+    if (cancellable) {
+      TimerId timer = sim_.ScheduleCancellable(delay, fn);
+      ASSERT_NE(timer, kInvalidTimer);
+      live_.emplace(timer, key);
+      timer_of_.emplace(key, timer);
+      issued_.push_back(timer);
+    } else {
+      sim_.Schedule(delay, fn);
+    }
+  }
+
+  void CancelRandom() {
+    if (issued_.empty()) return;
+    TimerId timer = issued_[rng_.NextUint64(issued_.size())];
+    auto it = live_.find(timer);
+    const bool pending = it != live_.end();
+    EXPECT_EQ(sim_.Cancel(timer), pending);
+    if (pending) {
+      pending_.erase(it->second);
+      timer_of_.erase(it->second);
+      live_.erase(it);
+      ++cancelled_;
+    }
+  }
+
+  void StepOne() {
+    const bool had = !pending_.empty();
+    EXPECT_EQ(sim_.Step(), had);
+  }
+
+  void Fire(const Key& key) {
+    ASSERT_FALSE(pending_.empty());
+    EXPECT_EQ(key, *pending_.begin()) << "popped out of (time, seq) order";
+    EXPECT_EQ(sim_.now(), key.first);
+    pending_.erase(key);
+    auto timer = timer_of_.find(key);
+    if (timer != timer_of_.end()) {
+      live_.erase(timer->second);
+      timer_of_.erase(timer);
+    }
+    ++fired_;
+    // Events schedule and cancel from inside the simulation too; a fired
+    // event's own handle must already be dead.
+    if (rng_.Bernoulli(0.3)) CancelRandom();
+    if (rng_.Bernoulli(0.4)) ScheduleOne(rng_.Bernoulli(0.5));
+  }
+
+  Simulator sim_;
+  common::Rng rng_;
+  uint64_t next_seq_ = 0;
+  std::set<Key> pending_;
+  std::map<TimerId, Key> live_;
+  std::map<Key, TimerId> timer_of_;
+  std::vector<TimerId> issued_;
+  uint64_t fired_ = 0;
+  uint64_t cancelled_ = 0;
+};
+
+TEST(SimulatorTest, RandomInterleavingMatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SimulatorModel model(seed);
+    for (int i = 0; i < 5000; ++i) model.RandomOp();
+    model.Drain();
+    EXPECT_GT(model.fired(), 1000u) << "seed " << seed;
+    EXPECT_GT(model.cancelled(), 100u) << "seed " << seed;
+    if (HasFailure()) break;
+  }
+}
+
 // ----------------------------------------------------------------- Network
 
 TEST(NetworkTest, DeliversMessageWithLatency) {
@@ -366,6 +492,192 @@ TEST(NetworkTest, DroppedWhenNoHandler) {
   EXPECT_EQ(net.total_messages(), 1);
 }
 
+TEST(NetworkTest, AllLinkStatsAscendByFromThenTo) {
+  Simulator sim;
+  Network net(&sim);
+  std::vector<common::SimNodeId> nodes;
+  for (int i = 0; i < 5; ++i) nodes.push_back(net.AddNode({1.0 * i, 0}));
+  for (common::SimNodeId n : nodes) net.SetHandler(n, [](const Message&) {});
+  // First sends in scrambled order; links are created on first use.
+  const std::vector<std::pair<int, int>> pairs = {
+      {3, 1}, {0, 4}, {3, 0}, {1, 2}, {0, 1}, {4, 3}, {3, 1}, {2, 0}};
+  for (const auto& [from, to] : pairs) {
+    Message m;
+    m.from = nodes[from];
+    m.to = nodes[to];
+    m.size_bytes = 10;
+    ASSERT_TRUE(net.Send(m).ok());
+  }
+  // A link that exists but never carried traffic is not reported.
+  net.SetLink(nodes[2], nodes[4], LinkParams{0.01, 1e9});
+  sim.Run();
+  std::vector<std::pair<int, int>> got;
+  for (const Network::LinkRecord& r : net.AllLinkStats()) {
+    got.emplace_back(r.from, r.to);
+    EXPECT_EQ(r.stats.bytes, 10 * r.stats.messages);
+  }
+  const std::vector<std::pair<int, int>> want = {
+      {0, 1}, {0, 4}, {1, 2}, {2, 0}, {3, 0}, {3, 1}, {4, 3}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(net.link_stats(nodes[3], nodes[1]).messages, 2);
+}
+
+TEST(NetworkTest, SetLinkBeforeAndAfterFirstSend) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({0, 0});
+  auto c = net.AddNode({0, 0});
+  std::vector<double> arrivals;
+  net.SetHandler(b, [&](const Message&) { arrivals.push_back(sim.now()); });
+  net.SetHandler(c, [&](const Message&) { arrivals.push_back(sim.now()); });
+  Message m;
+  m.from = a;
+  m.size_bytes = 0;
+  // Before the pair's first send: the explicit parameters win over the
+  // default model from the start.
+  net.SetLink(a, b, LinkParams{0.5, 1e9});
+  m.to = b;
+  ASSERT_TRUE(net.Send(m).ok());
+  sim.Run();
+  ASSERT_EQ(arrivals.size(), 1u);
+  EXPECT_DOUBLE_EQ(arrivals[0], 0.5);
+  // After the first send: the link (and its stats) is kept, only the
+  // parameters change for later sends.
+  m.to = c;
+  ASSERT_TRUE(net.Send(m).ok());
+  sim.Run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  const double default_latency = arrivals[1] - 0.5;
+  EXPECT_GT(default_latency, 0.0);
+  net.SetLink(a, c, LinkParams{0.25, 1e9});
+  ASSERT_TRUE(net.Send(m).ok());
+  sim.Run();
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_DOUBLE_EQ(arrivals[2] - (0.5 + default_latency), 0.25);
+  EXPECT_EQ(net.link_stats(a, c).messages, 2);
+  EXPECT_EQ(net.link_stats(a, b).messages, 1);
+}
+
+TEST(NetworkTest, UnusedPairHasZeroLinkStats) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({1, 0});
+  net.SetHandler(b, [](const Message&) {});
+  Message m;
+  m.from = a;
+  m.to = b;
+  m.size_bytes = 7;
+  ASSERT_TRUE(net.Send(m).ok());
+  sim.Run();
+  EXPECT_EQ(net.link_stats(b, a).messages, 0);
+  EXPECT_EQ(net.link_stats(b, a).bytes, 0);
+  EXPECT_EQ(net.link_stats(a, a).messages, 0);
+  // Ids the network never issued read as unused pairs too.
+  EXPECT_EQ(net.link_stats(-1, b).messages, 0);
+  EXPECT_EQ(net.link_stats(a, 99).bytes, 0);
+  EXPECT_EQ(net.link_stats(a, b).bytes, 7);
+}
+
+// ----------------------------------------------------------------- Payload
+
+/// Counts live instances so tests can check that Payload constructs and
+/// destroys exactly what it should; `Pad` bytes decide inline vs heap.
+template <size_t Pad>
+struct Counted {
+  static inline int live = 0;
+  int64_t value = 0;
+  std::array<char, Pad> pad{};
+  explicit Counted(int64_t v) : value(v) { ++live; }
+  Counted(const Counted& o) : value(o.value), pad(o.pad) { ++live; }
+  Counted(Counted&& o) noexcept : value(o.value), pad(o.pad) { ++live; }
+  Counted& operator=(const Counted&) = default;
+  Counted& operator=(Counted&&) noexcept = default;
+  ~Counted() { --live; }
+};
+using SmallCounted = Counted<8>;
+using BigCounted = Counted<128>;
+
+template <class T>
+void ExpectBalancedLifecycle() {
+  ASSERT_EQ(T::live, 0);
+  {
+    Payload a = T(7);
+    EXPECT_EQ(T::live, 1);
+    ASSERT_NE(a.get<T>(), nullptr);
+    EXPECT_EQ(a.get<T>()->value, 7);
+    Payload b = a;  // copy
+    EXPECT_EQ(T::live, 2);
+    Payload c = std::move(a);  // move leaves the source empty
+    EXPECT_EQ(T::live, 2);
+    EXPECT_FALSE(a.has_value());
+    EXPECT_EQ(c.get<T>()->value, 7);
+    b.get<T>()->value = 9;
+    c = b;  // copy-assign over a held value
+    EXPECT_EQ(T::live, 2);
+    EXPECT_EQ(c.get<T>()->value, 9);
+    a = std::move(c);  // move-assign into an empty payload
+    EXPECT_EQ(T::live, 2);
+    a.emplace<T>(11);  // replaces the held value
+    EXPECT_EQ(T::live, 2);
+    EXPECT_EQ(a.get<T>()->value, 11);
+    b.reset();
+    EXPECT_EQ(T::live, 1);
+    a = int64_t{5};  // a different type destroys the old value
+    EXPECT_EQ(T::live, 0);
+    EXPECT_EQ(*a.get<int64_t>(), 5);
+    a = T(3);
+  }
+  EXPECT_EQ(T::live, 0);
+}
+
+TEST(PayloadTest, InlineAndHeapTypesBalanceLifecycles) {
+  static_assert(Payload::StoresInline<SmallCounted>());
+  static_assert(!Payload::StoresInline<BigCounted>());
+  static_assert(Payload::StoresInline<std::shared_ptr<int>>());
+  ExpectBalancedLifecycle<SmallCounted>();
+  ExpectBalancedLifecycle<BigCounted>();
+}
+
+TEST(PayloadTest, GetOfWrongTypeIsNull) {
+  Payload empty;
+  EXPECT_FALSE(empty.has_value());
+  EXPECT_EQ(empty.get<int64_t>(), nullptr);
+  Payload p = std::string("hello");
+  EXPECT_TRUE(p.has_value());
+  EXPECT_EQ(p.get<int64_t>(), nullptr);
+  EXPECT_EQ(p.get<BigCounted>(), nullptr);
+  ASSERT_NE(p.get<std::string>(), nullptr);
+  EXPECT_EQ(*p.get<std::string>(), "hello");
+  const Payload& cp = p;
+  EXPECT_EQ(cp.get<int32_t>(), nullptr);
+  EXPECT_EQ(*cp.get<std::string>(), "hello");
+}
+
+TEST(PayloadTest, MessageCarriesPayloadThroughNetwork) {
+  Simulator sim;
+  Network net(&sim);
+  auto a = net.AddNode({0, 0});
+  auto b = net.AddNode({1, 0});
+  auto shared = std::make_shared<int>(42);
+  int64_t got = 0;
+  net.SetHandler(b, [&](const Message& m) {
+    const auto* p = m.payload.get<std::shared_ptr<int>>();
+    ASSERT_NE(p, nullptr);
+    got = **p;
+  });
+  Message m;
+  m.from = a;
+  m.to = b;
+  m.payload = shared;
+  ASSERT_TRUE(net.Send(std::move(m)).ok());
+  EXPECT_EQ(shared.use_count(), 2);  // one copy parked in flight
+  sim.Run();
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(shared.use_count(), 1);  // released after delivery
+}
+
 // --------------------------------------------------------- ReliableChannel
 
 constexpr int kData = 11;
@@ -432,7 +744,7 @@ TEST(ReliableChannelTest, AckCancelsRetryTimer) {
   net.SetLink(b, a, LinkParams{0.001, 1e9});
   ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
   net.SetHandler(b, [&](const Message& m) {
-    EXPECT_TRUE(channel.Receive(m, std::any_cast<int64_t>(m.payload)));
+    EXPECT_TRUE(channel.Receive(m, *m.payload.get<int64_t>()));
   });
   net.SetHandler(a, [&](const Message& m) {
     EXPECT_TRUE(channel.HandleAck(m));
@@ -456,7 +768,7 @@ TEST(ReliableChannelTest, DuplicateIsAckedAgainButNotFirst) {
   net.SetHandler(a, [&](const Message& m) {
     EXPECT_EQ(m.type, kAck);
     EXPECT_EQ(m.size_bytes, ReliableChannel::kAckBytes);
-    acked.push_back(std::any_cast<AckEnvelope>(m.payload).seq);
+    acked.push_back(m.payload.get<AckEnvelope>()->seq);
   });
   Message m = DataMessage(a, b);
   EXPECT_TRUE(channel.Receive(m, 7));
@@ -503,7 +815,7 @@ TEST(ReliableChannelTest, LossFreeSendCostsOneMessageAndOneAck) {
   ReliableChannel channel(&net, kAck, /*retry_timeout_s=*/0.05);
   int delivered = 0;
   net.SetHandler(b, [&](const Message& m) {
-    if (channel.Receive(m, std::any_cast<int64_t>(m.payload))) ++delivered;
+    if (channel.Receive(m, *m.payload.get<int64_t>())) ++delivered;
   });
   net.SetHandler(a, [&](const Message& m) { channel.HandleAck(m); });
   SendTracked(&net, &channel, DataMessage(a, b));
