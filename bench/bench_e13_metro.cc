@@ -26,6 +26,9 @@
 //                               and the absolute floor tools/dsps_doctor
 //                               flags regressions against;
 //  - headline.peak_rss_mb       VmHWM of the whole run;
+//  - headline.index_bytes_per_query  index.mem_bytes{scope=system} per
+//                               standing query — an element count,
+//                               deterministic, pinned at 1%;
 //  - partition.graph_build_us   indexed QueryGraph::Build over a QueryGen
 //                               slice with *random* interests (the metro
 //                               standing queries deliberately share one
@@ -213,7 +216,6 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   }
   run.install_wall_s = WallSince(install_start);
   run.install_profile = sys.install_profile();
-  run.index_stats = sys.IndexStatsSnapshot();
 
   const uint64_t events_before = sys.network()->simulator()->events_executed();
   auto run_start = std::chrono::steady_clock::now();
@@ -222,6 +224,9 @@ E13Run Run(const Scale& sc, dsps::telemetry::TraceLog* trace) {
   run.run_wall_s = WallSince(run_start);
   run.sim_events =
       sys.network()->simulator()->events_executed() - events_before;
+  // Route and delegate tables compile on the first tuple after a change,
+  // so their footprint is read once traffic has run.
+  run.index_stats = sys.IndexStatsSnapshot();
 
   for (int t = 1; t <= kTenants; ++t) run.results += sys.TenantResults(t);
   if (!sys.admission()->CheckConservation().ok()) {
@@ -367,7 +372,7 @@ void PrintE13() {
     }
   }
   // Live-system index health (gridded dissemination route tables +
-  // per-entity stream indexes) after the full install + traffic phases.
+  // per-entity delegate tables) after the full install + traffic phases.
   dsps::bench::ExportIndexStats(
       run.index_stats, &metrics,
       dsps::telemetry::MakeLabels({{"scope", "system"}}));
@@ -433,6 +438,13 @@ void PrintE13() {
   report.SetHeadline("sim_us_per_event", us_per_event);
   report.SetHeadline("install_us_per_query", install_us_per_query);
   report.SetHeadline("peak_rss_mb", peak_rss_mb);
+  // Interest-matching bytes per standing query (element counts, so
+  // deterministic at the fixed seed).
+  report.SetHeadline("index_bytes_per_query",
+                     run.standing > 0
+                         ? static_cast<double>(run.index_stats.mem_bytes) /
+                               static_cast<double>(run.standing)
+                         : 0.0);
   // Result-latency quantiles off the bounded sketches (identical API to
   // the exact path; E1 pins the rank error at <= 1%).
   report.SetHeadline("latency_p50_ms", run.latency_p50_ms);

@@ -1,8 +1,6 @@
 #include "dissemination/tree.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
 #include <string>
 
@@ -386,10 +384,8 @@ int DisseminationTree::SetLocalInterest(common::EntityId id,
   Node* node = &At(id);
   Delta delta = DiffLocal(std::move(node->local), boxes);
   node->local = std::move(boxes);
-  node->local_flat.Clear();
-  for (const Box& b : node->local) {
-    if (!interest::BoxEmpty(b)) node->local_flat.Append(b);
-  }
+  node->local_flat = interest::MatchTable::Build(
+      1, [node](size_t) -> const std::vector<Box>& { return node->local; });
   int updates = 0;
   common::EntityId cur = id;
   size_t s = 0;
@@ -473,47 +469,6 @@ const std::vector<Box>& DisseminationTree::LocalInterest(
   return node == nullptr ? empty_ : node->local;
 }
 
-void DisseminationTree::FlatBoxes::Append(const Box& box) {
-  if (count == 0) dims = static_cast<uint32_t>(box.size());
-  DSPS_CHECK_MSG(box.size() == dims, "box has %zu dims, expected %u",
-                 box.size(), dims);
-  for (const interest::Interval& iv : box) {
-    bounds.push_back(iv.lo);
-    bounds.push_back(iv.hi);
-  }
-  ++count;
-}
-
-void DisseminationTree::FlatBoxes::Clear() {
-  dims = 0;
-  count = 0;
-  bounds.clear();
-}
-
-bool DisseminationTree::FlatBoxes::Contains(uint32_t i,
-                                            const double* point) const {
-  // The same comparisons as Interval::Contains, so NaN never matches.
-  const double* b = bounds.data() + 2 * static_cast<size_t>(i) * dims;
-  for (uint32_t d = 0; d < dims; ++d) {
-    if (!(point[d] >= b[2 * d] && point[d] <= b[2 * d + 1])) return false;
-  }
-  return true;
-}
-
-bool DisseminationTree::FlatBoxes::AnyContains(const double* point) const {
-  for (uint32_t i = 0; i < count; ++i) {
-    if (Contains(i, point)) return true;
-  }
-  return false;
-}
-
-uint32_t DisseminationTree::RouteTable::CellOf(double v) const {
-  const double f = (v - grid_lo) * cells_per_unit;
-  if (!(f > 0)) return 0;  // below the grid, or NaN
-  const uint32_t last = cells() - 1;
-  return f >= static_cast<double>(last) ? last : static_cast<uint32_t>(f);
-}
-
 void DisseminationTree::InvalidateRouteTable(common::EntityId parent) {
   if (parent == common::kInvalidEntity) {
     source_route_.valid = false;
@@ -525,80 +480,11 @@ void DisseminationTree::InvalidateRouteTable(common::EntityId parent) {
 void DisseminationTree::BuildRouteTable(
     const std::vector<common::EntityId>& children, RouteTable* table) const {
   table->valid = true;
-  table->boxes.Clear();
-  table->owner.clear();
-  table->cell_start.clear();
-  table->cell_boxes.clear();
   table->lookups = 0;
-  for (common::EntityId child : children) {
-    for (const Box& b : At(child).subtree) {
-      if (interest::BoxEmpty(b)) continue;
-      table->boxes.Append(b);
-      table->owner.push_back(child);
-    }
-  }
-  const FlatBoxes& boxes = table->boxes;
-  const uint32_t n = boxes.count;
-  if (n < kRouteIndexMinBoxes || boxes.dims == 0) return;
-  // Subtree aggregates are unions of many query boxes, so they tend to
-  // span the full range of non-leading dimensions; gridding those would
-  // only multiply registrations. Grid the leading dimension alone, over
-  // the extent of its bounded values: NaN bounds and bounds at or beyond
-  // Interval::All()'s are left out and clamp to the edge cells.
-  const size_t stride = 2 * static_cast<size_t>(boxes.dims);
-  const double unbounded = interest::Interval::All().hi;
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -lo;
-  for (uint32_t i = 0; i < n; ++i) {
-    for (double v : {boxes.bounds[i * stride], boxes.bounds[i * stride + 1]}) {
-      if (!(std::abs(v) < unbounded)) continue;
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  // Cell count from the box count: about two boxes per cell, halved while
-  // wide boxes would register more than kMaxRegistrationsPerBox times
-  // each on average (never below kMinCells).
-  constexpr uint32_t kMinCells = 16;
-  constexpr uint32_t kMaxRegistrationsPerBox = 8;
-  const double span = hi - lo;
-  uint32_t cells = span > 0 ? std::max(kMinCells, std::bit_ceil(n / 2)) : 1;
-  table->grid_lo = lo;
-  // A box's cells; empty (first > last) for a NaN upper bound.
-  auto cell_range = [&](uint32_t i) {
-    return std::pair{table->CellOf(boxes.bounds[i * stride]),
-                     table->CellOf(boxes.bounds[i * stride + 1])};
-  };
-  for (;;) {
-    table->cell_start.assign(cells + 1, 0);
-    table->cells_per_unit = cells > 1 ? cells / span : 0.0;
-    size_t registrations = 0;
-    for (uint32_t i = 0; i < n; ++i) {
-      const auto [first, last] = cell_range(i);
-      if (last >= first) registrations += last - first + 1;
-    }
-    if (cells <= kMinCells ||
-        registrations <= static_cast<size_t>(kMaxRegistrationsPerBox) * n) {
-      break;
-    }
-    cells /= 2;
-  }
-  // Counting sort into CSR: count per cell, prefix-sum, then place box
-  // ids in ascending order so each cell lists its boxes in child order.
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto [first, last] = cell_range(i);
-    for (uint32_t c = first; c <= last; ++c) ++table->cell_start[c + 1];
-  }
-  for (uint32_t c = 0; c < cells; ++c) {
-    table->cell_start[c + 1] += table->cell_start[c];
-  }
-  table->cell_boxes.resize(table->cell_start[cells]);
-  std::vector<uint32_t> fill(table->cell_start.begin(),
-                             table->cell_start.end() - 1);
-  for (uint32_t i = 0; i < n; ++i) {
-    const auto [first, last] = cell_range(i);
-    for (uint32_t c = first; c <= last; ++c) table->cell_boxes[fill[c]++] = i;
-  }
+  table->table = interest::MatchTable::Build(
+      children.size(), [&](size_t o) -> const std::vector<Box>& {
+        return At(children[o]).subtree;
+      });
 }
 
 void DisseminationTree::ForwardTargets(common::EntityId from,
@@ -620,42 +506,16 @@ void DisseminationTree::ForwardTargets(common::EntityId from,
   }
   if (children->empty()) return;
   if (!table->valid) BuildRouteTable(*children, table);
-  // Boxes are in child-list order, each child's contiguous, and a cell
-  // lists its boxes ascending: the first hit of each owner emits it, and
-  // its later boxes are skipped untested.
-  common::EntityId last = common::kInvalidEntity;
-  auto test = [&](uint32_t i) {
-    const common::EntityId owner = table->owner[i];
-    if (owner == last || !table->boxes.Contains(i, point)) return;
-    out->push_back(owner);
-    last = owner;
-  };
-  if (table->gridded()) {
-    ++table->lookups;
-    const uint32_t c = table->CellOf(point[0]);
-    for (uint32_t k = table->cell_start[c]; k < table->cell_start[c + 1];
-         ++k) {
-      test(table->cell_boxes[k]);
-    }
-  } else {
-    for (uint32_t i = 0; i < table->boxes.count; ++i) test(i);
-  }
+  ++table->lookups;
+  table->table.ForEachMatch(
+      point, [&](uint32_t o) { out->push_back((*children)[o]); });
 }
 
 void DisseminationTree::CollectIndexStats(interest::IndexStats* stats) const {
-  auto add = [stats](const RouteTable& table) {
-    if (!table.valid || !table.gridded()) return;
-    ++stats->indexes;
-    ++stats->grid_indexes;
-    stats->boxes += table.boxes.count;
-    stats->lookups += table.lookups;
-    // Element counts, not capacities: deterministic, so bench baselines
-    // can pin it exactly.
-    stats->mem_bytes += static_cast<int64_t>(
-        table.boxes.bounds.size() * sizeof(double) +
-        table.owner.size() * sizeof(common::EntityId) +
-        (table.cell_start.size() + table.cell_boxes.size()) *
-            sizeof(uint32_t));
+  auto add = [stats](const RouteTable& route) {
+    if (!route.valid || !route.table.gridded()) return;
+    route.table.AddStatsTo(stats);
+    stats->lookups += route.lookups;
   };
   add(source_route_);
   ForEachNode([&](common::EntityId, const Node& node) { add(node.route); });

@@ -9,8 +9,9 @@
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "interest/box_index.h"
+#include "interest/index_stats.h"
 #include "interest/interest.h"
+#include "interest/match_table.h"
 #include "sim/network.h"
 
 namespace dsps::dissemination {
@@ -103,20 +104,18 @@ class DisseminationTree {
   /// tuple with numeric values `point`. With early_filter, a child is
   /// included only if its subtree aggregate matches; otherwise all
   /// children are included (forward-everything baseline). Matching runs
-  /// against `from`'s route table: its children's non-empty subtree boxes
-  /// compiled into one contiguous array, rebuilt lazily after joins,
-  /// leaves, reattaches and aggregate changes. Tables of at least
-  /// kRouteIndexMinBoxes boxes add a grid over the leading dimension, so a
-  /// probe tests one cell's boxes instead of all of them. Either way the
-  /// result is in child-list order, bit-identical to a BoxContains scan of
-  /// each child's SubtreeInterest.
+  /// against `from`'s route table: its children's subtree boxes compiled
+  /// into one interest::MatchTable (owners = child-list positions),
+  /// rebuilt lazily after joins, leaves, reattaches and aggregate changes.
+  /// The result is in child-list order, bit-identical to a BoxContains
+  /// scan of each child's SubtreeInterest.
   void ForwardTargets(common::EntityId from, const double* point,
                       bool early_filter,
                       std::vector<common::EntityId>* out) const;
 
   /// True if the entity's own interest matches the point (local delivery):
-  /// a scan of its non-empty local boxes, kept in the same flat layout as
-  /// the route tables. Same answer as BoxContains over LocalInterest.
+  /// a probe of its local boxes compiled into a MatchTable. Same answer as
+  /// BoxContains over LocalInterest.
   bool LocalMatch(common::EntityId id, const double* point) const;
 
   /// The entity's registered position.
@@ -157,56 +156,22 @@ class DisseminationTree {
 
   /// Route tables with fewer boxes than this are scanned linearly; larger
   /// ones get the leading-dimension grid.
-  static constexpr size_t kRouteIndexMinBoxes = 32;
+  static constexpr size_t kRouteIndexMinBoxes =
+      interest::MatchTable::kGridMinBoxes;
 
   /// From-scratch aggregate recomputations so far (RecomputeSubtree
   /// calls): zero while every update has taken the delta path.
   int64_t full_recomputes() const { return full_recomputes_; }
 
  private:
-  /// Boxes of one dimensionality in one contiguous array: with
-  /// k = i * dims + d, box i's dimension d is [bounds[2k], bounds[2k + 1]].
-  struct FlatBoxes {
-    uint32_t dims = 0;
-    uint32_t count = 0;
-    std::vector<double> bounds;
-
-    /// Appends `box`; all boxes share the first one's dimensionality.
-    void Append(const interest::Box& box);
-    void Clear();
-    /// BoxContains(box i, point), on the flat layout.
-    bool Contains(uint32_t i, const double* point) const;
-    bool AnyContains(const double* point) const;
-  };
-
   /// One node's compiled routing (or the source's): its children's
-  /// non-empty subtree boxes in child-list order, each tagged with the
-  /// child owning it. Immutable once built; invalidated by the same events
-  /// that change the child list or a child's aggregate.
+  /// subtree boxes, owner o being children[o]. Invalidated by the same
+  /// events that change the child list or a child's aggregate.
   struct RouteTable {
     bool valid = false;
-    FlatBoxes boxes;
-    std::vector<common::EntityId> owner;
-    /// Leading-dimension grid, present when boxes.count >=
-    /// kRouteIndexMinBoxes (CSR layout: cell c holds the box ids
-    /// cell_boxes[cell_start[c] .. cell_start[c + 1]), ascending). A box
-    /// registers with every cell its leading interval overlaps, so a
-    /// point's cell holds every box that can contain it.
-    std::vector<uint32_t> cell_start;
-    std::vector<uint32_t> cell_boxes;
-    double grid_lo = 0.0;
-    double cells_per_unit = 0.0;
-    /// Gridded probes since the table was built.
+    interest::MatchTable table;
+    /// Probes since the table was built.
     int64_t lookups = 0;
-
-    bool gridded() const { return !cell_start.empty(); }
-    uint32_t cells() const {
-      return static_cast<uint32_t>(cell_start.size()) - 1;
-    }
-    /// The grid cell of leading coordinate `v`. Clamps in double before
-    /// converting, so far-out bounds (Interval::All(), 1e300), infinities
-    /// and NaN land on an edge cell; monotone in `v`.
-    uint32_t CellOf(double v) const;
   };
 
   struct Node {
@@ -214,8 +179,8 @@ class DisseminationTree {
     std::vector<common::EntityId> children;
     sim::Point position;
     std::vector<interest::Box> local;
-    /// `local`'s non-empty boxes, flat, for LocalMatch.
-    FlatBoxes local_flat;
+    /// `local` compiled for LocalMatch.
+    interest::MatchTable local_flat;
     /// The aggregate: local boxes, then each child's subtree aggregate in
     /// child-list order, with every box covered by another dropped (of
     /// identical copies the first is kept).

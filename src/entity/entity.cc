@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -155,25 +156,19 @@ common::Status Entity::InstallQuery(const engine::Query& query,
     target.port = e.to_port;
     state.routes[{from.fragment, e.from}].push_back(target);
   }
-  // Delegate-side interest index (when the catalog is known): a stream
+  // Delegate-side interest table (when the catalog is known): a stream
   // tuple is routed to this query only if it can pass the query's filter.
   for (const auto& [stream, targets] : state.stream_entries) {
     (void)targets;
-    const std::vector<interest::Box>* boxes =
-        query.interest.boxes_for(stream);
-    if (config_.catalog == nullptr || boxes == nullptr || boxes->empty() ||
-        !config_.catalog->Contains(stream)) {
+    if (!Indexable(stream, query.interest.boxes_for(stream))) {
       always_deliver_[stream].insert(query.id);
       continue;
     }
-    auto [it, inserted] = stream_index_.try_emplace(stream, nullptr);
-    if (inserted) {
-      it->second = std::make_unique<interest::BoxIndex>(
-          config_.catalog->stats(stream).domain);
-    }
-    for (const interest::Box& b : *boxes) {
-      it->second->Insert(query.id, b);
-    }
+    DelegateTable& dt = delegate_tables_[stream];
+    dt.subscribers.insert(std::upper_bound(dt.subscribers.begin(),
+                                           dt.subscribers.end(), query.id),
+                          query.id);
+    dt.stale = true;
   }
   queries_[query.id] = std::move(state);
   return common::Status::OK();
@@ -194,8 +189,15 @@ common::Status Entity::RemoveQuery(common::QueryId query) {
   }
   for (const auto& [stream, targets] : it->second.stream_entries) {
     (void)targets;
-    auto idx = stream_index_.find(stream);
-    if (idx != stream_index_.end()) idx->second->Remove(query);
+    auto dt = delegate_tables_.find(stream);
+    if (dt != delegate_tables_.end()) {
+      std::vector<common::QueryId>& subs = dt->second.subscribers;
+      auto pos = std::lower_bound(subs.begin(), subs.end(), query);
+      if (pos != subs.end() && *pos == query) {
+        subs.erase(pos);
+        dt->second.stale = true;
+      }
+    }
     auto always = always_deliver_.find(stream);
     if (always != always_deliver_.end()) always->second.erase(query);
   }
@@ -248,19 +250,23 @@ bool Entity::HandleMessage(const sim::Message& msg) {
         }
       }
     };
-    auto idx = stream_index_.find(stream);
-    if (idx != stream_index_.end()) {
-      // Indexed fan-out: only queries whose interest matches the tuple.
+    auto dt_it = delegate_tables_.find(stream);
+    if (dt_it != delegate_tables_.end()) {
+      // Indexed fan-out: only queries whose interest matches the tuple,
+      // ascending by id.
+      DelegateTable& dt = dt_it->second;
+      ++dt.lookups;
+      if (dt.stale) CompileDelegateTable(stream, &dt);
       point_scratch_.clear();
       for (const engine::Value& v : env->tuple->values) {
         point_scratch_.push_back(engine::AsDouble(v));
       }
-      match_scratch_.clear();
-      idx->second->Match(point_scratch_.data(), &match_scratch_);
-      for (int64_t qid : match_scratch_) {
-        auto q_it = queries_.find(qid);
+      // Routing only submits and sends; emissions run later, so nothing
+      // here edits the table or its subscribers mid-probe.
+      dt.table.ForEachMatch(point_scratch_.data(), [&](uint32_t o) {
+        auto q_it = queries_.find(dt.subscribers[o]);
         if (q_it != queries_.end()) route_to_query(q_it->second);
-      }
+      });
       auto always = always_deliver_.find(stream);
       if (always != always_deliver_.end()) {
         for (common::QueryId qid : always->second) {
@@ -456,10 +462,90 @@ double Entity::TotalCommittedLoad() const {
   return total;
 }
 
+bool Entity::Indexable(common::StreamId stream,
+                       const std::vector<interest::Box>* boxes) const {
+  return config_.catalog != nullptr && boxes != nullptr && !boxes->empty() &&
+         config_.catalog->Contains(stream);
+}
+
+void Entity::CompileDelegateTable(common::StreamId stream, DelegateTable* dt) {
+  dt->table = interest::MatchTable::Build(
+      dt->subscribers.size(),
+      [&](size_t o) -> const std::vector<interest::Box>& {
+        return *queries_.at(dt->subscribers[o]).query.interest.boxes_for(
+            stream);
+      });
+  dt->stale = false;
+}
+
 void Entity::CollectIndexStats(interest::IndexStats* stats) const {
-  for (const auto& [stream, index] : stream_index_) {
-    if (index != nullptr) index->AddStatsTo(stats);
+  for (const auto& [stream, dt] : delegate_tables_) {
+    dt.table.AddStatsTo(stats);
+    stats->lookups += dt.lookups;
+    stats->mem_bytes += static_cast<int64_t>(dt.subscribers.size() *
+                                             sizeof(common::QueryId));
   }
+}
+
+common::Status Entity::CheckDelegateTables() const {
+  auto violation = [this](common::StreamId stream, const char* what) {
+    return common::Status::Internal(
+        "entity " + std::to_string(id_) + " stream " +
+        std::to_string(stream) + ": delegate table " + what);
+  };
+  constexpr size_t kMaxProbesPerTable = 16;
+  std::vector<uint32_t> matched;
+  std::vector<uint32_t> scanned;
+  for (const auto& [stream, dt] : delegate_tables_) {
+    std::vector<common::QueryId> expect;
+    std::vector<const std::vector<interest::Box>*> boxes;
+    // Every query bound to the stream is either always delivered or a
+    // subscriber, so a query in neither is one the delegate would lose.
+    auto always = always_deliver_.find(stream);
+    for (const auto& [qid, state] : queries_) {
+      if (state.stream_entries.count(stream) == 0 ||
+          (always != always_deliver_.end() && always->second.count(qid) > 0)) {
+        continue;
+      }
+      const std::vector<interest::Box>* b =
+          state.query.interest.boxes_for(stream);
+      if (!Indexable(stream, b)) {
+        return violation(stream, "lost a query without interest boxes");
+      }
+      expect.push_back(qid);
+      boxes.push_back(b);
+    }
+    if (dt.subscribers != expect) {
+      return violation(stream, "subscribers disagree with installed queries");
+    }
+    if (dt.stale) continue;
+    size_t probes = 0;
+    for (size_t o = 0; o < boxes.size() && probes < kMaxProbesPerTable; ++o) {
+      for (const interest::Box& box : *boxes[o]) {
+        if (interest::BoxEmpty(box) || probes >= kMaxProbesPerTable) continue;
+        ++probes;
+        std::vector<double> center(box.size());
+        for (size_t d = 0; d < box.size(); ++d) {
+          center[d] = 0.5 * (box[d].lo + box[d].hi);
+        }
+        matched.clear();
+        dt.table.Match(center.data(), &matched);
+        scanned.clear();
+        for (size_t s = 0; s < boxes.size(); ++s) {
+          for (const interest::Box& b : *boxes[s]) {
+            if (interest::BoxContains(b, center.data())) {
+              scanned.push_back(static_cast<uint32_t>(s));
+              break;
+            }
+          }
+        }
+        if (matched != scanned) {
+          return violation(stream, "disagrees with a linear scan");
+        }
+      }
+    }
+  }
+  return common::Status::OK();
 }
 
 common::ProcessorId Entity::AddProcessor(common::SimNodeId node) {

@@ -10,7 +10,8 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "engine/engine.h"
-#include "interest/box_index.h"
+#include "interest/index_stats.h"
+#include "interest/match_table.h"
 #include "interest/measure.h"
 #include "engine/plan.h"
 #include "entity/processor.h"
@@ -71,10 +72,11 @@ class Entity {
     /// can straddle domains; the auditor cross-checks the placement
     /// map's domain view against this ground truth.
     int fault_domain = 0;
-    /// When set, delegates use a per-stream BoxIndex over the queries'
-    /// interests to fan tuples out only to queries whose filter can
-    /// match — the delegate's hot loop goes from O(queries) to O(cell).
-    /// Queries without interest boxes on a stream still get everything.
+    /// When set, delegates match each tuple against a per-stream table of
+    /// the queries' interests and fan it out only to queries whose filter
+    /// can match — the delegate's hot loop goes from O(queries) to
+    /// O(cell). Queries without interest boxes on a stream still get
+    /// everything.
     const interest::StreamCatalog* catalog = nullptr;
     /// Optional telemetry (null = disabled, zero overhead). Processors
     /// export per-processor metrics labeled {entity, processor}; sampled
@@ -179,9 +181,18 @@ class Entity {
   /// Load (CPU s/s) this entity believes it has committed.
   double TotalCommittedLoad() const;
 
-  /// Accumulates the per-stream tuple-matching indexes' statistics into
-  /// `stats` (strategy mix, memory, spline health).
+  /// Accumulates the delegate tables' statistics into `stats`: one index
+  /// per indexed stream, its compiled boxes and bytes (plus the subscriber
+  /// ids), and one lookup per delegate match.
   void CollectIndexStats(interest::IndexStats* stats) const;
+
+  /// Audit: every delegate table's subscribers are exactly the installed
+  /// queries bound to its stream that are not always delivered, ascending
+  /// and each with interest boxes there, and every up-to-date table
+  /// routes like a BoxContains scan over those queries' boxes at their
+  /// box centres. Read-only: probes count no lookups and
+  /// build no tables. Internal error naming the first violation.
+  common::Status CheckDelegateTables() const;
 
   /// Elastic capacity: adds one processor hosted on `node` (a member of
   /// this entity's LAN), wired like the constructor-built ones (engine
@@ -240,12 +251,30 @@ class Entity {
   int next_delegate_ = 0;
   std::map<common::QueryId, QueryState> queries_;
   std::map<common::FragmentId, common::QueryId> query_of_fragment_;
-  /// Delegate-side interest indexes (only when config_.catalog is set).
-  std::map<common::StreamId, std::unique_ptr<interest::BoxIndex>> stream_index_;
+  /// One stream's delegate-side interest table (only when config_.catalog
+  /// is set): the queries with interest boxes on the stream, and their
+  /// boxes compiled into a MatchTable (owner o = subscribers[o]) on the
+  /// first tuple after an install or a removal. The boxes are read from
+  /// the queries' own QueryState, never copied elsewhere.
+  struct DelegateTable {
+    /// Ascending query ids.
+    std::vector<common::QueryId> subscribers;
+    interest::MatchTable table;
+    /// True while `table` lags `subscribers`; the next delegate match on
+    /// the stream recompiles it.
+    bool stale = false;
+    /// Delegate matches on this stream, across rebuilds.
+    int64_t lookups = 0;
+  };
+  /// True if `boxes` (a query's interest in `stream`) can be indexed.
+  bool Indexable(common::StreamId stream,
+                 const std::vector<interest::Box>* boxes) const;
+  /// Recompiles `dt`'s table from its subscribers' boxes on `stream`.
+  void CompileDelegateTable(common::StreamId stream, DelegateTable* dt);
+  std::map<common::StreamId, DelegateTable> delegate_tables_;
   /// Queries bound to a stream without index coverage: always delivered.
   std::map<common::StreamId, std::set<common::QueryId>> always_deliver_;
-  mutable std::vector<double> point_scratch_;
-  mutable std::vector<int64_t> match_scratch_;
+  std::vector<double> point_scratch_;
   common::FragmentId next_fragment_id_ = 1;
   ResultHandler result_handler_;
   telemetry::Sketch pr_sketch_;

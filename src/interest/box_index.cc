@@ -26,24 +26,6 @@ IndexStrategy EnvIndexStrategy() {
 
 }  // namespace
 
-void IndexStats::MergeFrom(const IndexStats& other) {
-  indexes += other.indexes;
-  grid_indexes += other.grid_indexes;
-  spline_indexes += other.spline_indexes;
-  boxes += other.boxes;
-  mem_bytes += other.mem_bytes;
-  lookups += other.lookups;
-  spline_lookups += other.spline_lookups;
-  spline_fallbacks += other.spline_fallbacks;
-  spline_rebuilds += other.spline_rebuilds;
-  spline_knots += other.spline_knots;
-  spline_buckets += other.spline_buckets;
-  spline_max_error = std::max(spline_max_error, other.spline_max_error);
-  declared_fallback_bound =
-      std::max(declared_fallback_bound, other.declared_fallback_bound);
-  build_us += other.build_us;
-}
-
 BoxIndex::BoxIndex(const Box& domain) : BoxIndex(domain, Config()) {}
 
 BoxIndex::BoxIndex(const Box& domain, const Config& config)

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "interest/index_stats.h"
 #include "interest/interval.h"
 #include "interest/spline_index.h"
 
@@ -19,52 +20,25 @@ namespace dsps::interest {
 ///   dimension (SplineIndex), with a plain linear scan below a build
 ///   threshold and pending/tombstone overlays for churn.
 /// - kAuto: start on the grid and switch to the spline once the box count
-///   crosses `Config::spline_min_boxes` — small indexes (per-entity stream
-///   delegates) keep the cheap grid, while million-box structures (graph
-///   build) get the learned index. The `DSPS_INDEX` environment variable
-///   (`grid` | `spline`) pins auto indexes to one strategy process-wide;
-///   explicit configs always win over the environment.
+///   crosses `Config::spline_min_boxes` — small indexes (per-stream
+///   graph indexes of a few queries) keep the cheap grid, while
+///   million-box structures get the learned index. The `DSPS_INDEX`
+///   environment variable (`grid` | `spline`) pins auto indexes to one
+///   strategy process-wide; explicit configs always win over the
+///   environment.
 enum class IndexStrategy { kAuto, kGrid, kSpline };
 
-/// Aggregated health/size statistics across one or more box indexes;
-/// exported to bench JSON and surfaced by dsps_doctor.
-struct IndexStats {
-  int64_t indexes = 0;
-  int64_t grid_indexes = 0;
-  int64_t spline_indexes = 0;
-  int64_t boxes = 0;
-  int64_t mem_bytes = 0;
-  /// Match/MatchOverlap calls across all strategies.
-  int64_t lookups = 0;
-  /// Spline-path bucket locations and how many escaped the bounded
-  /// correction window into a full binary search.
-  int64_t spline_lookups = 0;
-  int64_t spline_fallbacks = 0;
-  int64_t spline_rebuilds = 0;
-  int64_t spline_knots = 0;
-  int64_t spline_buckets = 0;
-  /// Max over member indexes.
-  int64_t spline_max_error = 0;
-  double declared_fallback_bound = 0.0;
-  /// Total spline (re)build time.
-  double build_us = 0.0;
-
-  void MergeFrom(const IndexStats& other);
-  double FallbackRate() const {
-    return spline_lookups > 0
-               ? static_cast<double>(spline_fallbacks) /
-                     static_cast<double>(spline_lookups)
-               : 0.0;
-  }
-};
-
-/// Point-stabbing index over subscriber boxes: given a tuple's numeric
-/// values, returns every subscriber with a box containing them.
+/// Mutable box index over subscriber boxes: Match returns every
+/// subscriber with a box containing a point, MatchOverlap every
+/// subscriber with a box overlapping a query box.
 ///
-/// A stream delegate fans each tuple out to the queries bound to the
-/// stream; with thousands of co-located queries the naive per-tuple scan
-/// is the hot loop. Two interchangeable strategies back the same exact
-/// interface (identical output, order included):
+/// Its user is the query graph (partition::QueryGraph::Build and
+/// partition::QueryGraphIndex, Section 3.2.2), which inserts and removes
+/// queries as they come and go and asks which installed queries' interest
+/// overlaps a new one's. Per-tuple matching (dissemination routing,
+/// local delivery, stream delegates) runs on the immutable MatchTable
+/// instead. Two interchangeable strategies back the same exact interface
+/// (identical output, order included):
 ///
 /// - The grid overlays a uniform grid on the first one or two dimensions
 ///   of the stream's domain; each box registers with every cell it

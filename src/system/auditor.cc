@@ -170,6 +170,8 @@ common::Status Auditor::CheckConservation() const {
       return Violation("conservation: entity " + std::to_string(e) +
                        " installs disagree with home table");
     }
+    common::Status tables = sys.entities_[e]->CheckDelegateTables();
+    if (!tables.ok()) return Violation("conservation: " + tables.message());
   }
   return common::Status::OK();
 }

@@ -36,7 +36,9 @@ class System;
 ///                   weights and adjacency);
 ///  - conservation:  every admitted query is placed on exactly one alive
 ///                   entity or queued as unplaced — never both, never
-///                   lost — and the entities' own installs agree;
+///                   lost — the entities' own installs agree, and
+///                   each entity's delegate tables hold exactly its
+///                   installed queries and route like a linear scan;
 ///  - replica_placement (placement-map mode only, trivially clean
 ///                   otherwise): the map's alive set mirrors the
 ///                   system's; every placed query's home is one of its

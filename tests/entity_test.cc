@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -233,14 +234,38 @@ TEST_F(EntityTest, QueueingDelayGrowsWithLoad) {
 }
 
 TEST_F(EntityTest, IndexedDelegationMatchesNaive) {
-  // With the delegate-side interest index on, results must be identical
-  // to the naive fan-out (the index may only skip queries whose filter
-  // would drop the tuple anyway).
+  // Seeded property test: with the delegate tables on, every query's
+  // result sequence must equal the naive fan-out's (a table may only skip
+  // queries whose filter would drop the tuple anyway), under interleaved
+  // installs, removals and tuples. Enough multi-box queries share stream
+  // 0 that its table crosses the grid threshold; boxes include empty and
+  // unbounded ones, and tuples NaN and infinite coordinates.
   interest::StreamCatalog catalog;
   interest::StreamStats stats;
   stats.domain = interest::Box{{0, 100}, {0, 100}};
   catalog.Register(0, stats);
-  auto run = [&](bool indexed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto random_box = [](common::Rng* rng) {
+    const double r = rng->Uniform(0, 1);
+    if (r < 0.05) return interest::Box{{60, 40}, {0, 100}};  // empty
+    if (r < 0.10) return interest::Box{interest::Interval::All(), {0, 100}};
+    const double x = rng->Uniform(0, 100);
+    interest::Interval lead{x, x + rng->Uniform(0, 25)};
+    if (r < 0.15) lead.lo = -1e300;
+    if (r >= 0.15 && r < 0.20) lead.hi = 1e300;
+    const double y = rng->Uniform(0, 80);
+    return interest::Box{lead, {y, y + rng->Uniform(5, 60)}};
+  };
+  auto random_value = [](common::Rng* rng, double lo, double hi) {
+    const double r = rng->Uniform(0, 1);
+    if (r < 0.03) return kNaN;
+    if (r < 0.06) return kInf;
+    if (r < 0.09) return -kInf;
+    return rng->Uniform(lo, hi);
+  };
+  using Sequences = std::map<common::QueryId, std::vector<double>>;
+  auto run = [&](uint64_t seed, bool indexed) {
     sim::Simulator sim;
     sim::Network net(&sim);
     std::vector<common::SimNodeId> nodes{net.AddNode({0, 0}),
@@ -250,40 +275,68 @@ TEST_F(EntityTest, IndexedDelegationMatchesNaive) {
     cfg.catalog = indexed ? &catalog : nullptr;
     Entity ent(0, &net, nodes, MakeBasic, policy_.get(), cfg);
     ent.InstallHandlers();
-    std::map<common::QueryId, int> results;
+    Sequences results;
     ent.SetResultHandler([&](const Entity::ResultRecord& rec,
-                             const engine::Tuple&) { results[rec.query] += 1; });
-    // Queries watching staggered bands.
-    for (int i = 1; i <= 6; ++i) {
-      Entity::Config dummy;
-      (void)dummy;
+                             const engine::Tuple& t) {
+      results[rec.query].push_back(engine::AsDouble(t.values[0]));
+    });
+    common::Rng rng(seed);
+    std::vector<common::QueryId> installed;
+    common::QueryId next_id = 1;
+    bool saw_grid = false;
+    // The filter tests the first interest box; the other boxes only widen
+    // the interest, so they may route extra tuples, never lose one.
+    auto install = [&] {
       Query q;
-      q.id = i;
-      interest::Box box{{(i - 1) * 15.0, (i - 1) * 15.0 + 25.0}, {0, 100}};
+      q.id = next_id++;
+      const size_t n_boxes = 1 + rng.NextUint64(3);
+      std::vector<interest::Box> boxes;
+      for (size_t i = 0; i < n_boxes; ++i) boxes.push_back(random_box(&rng));
       auto plan = std::make_shared<QueryPlan>();
       auto f = plan->AddOperator(
-          std::make_unique<FilterOp>(std::vector<int>{0, 1}, box));
+          std::make_unique<FilterOp>(std::vector<int>{0, 1}, boxes[0]));
       EXPECT_TRUE(plan->BindStream(0, f, 0).ok());
       q.plan = plan;
-      q.interest.Add(0, box);
-      EXPECT_TRUE(ent.InstallQuery(q, 100.0).ok());
+      for (const interest::Box& b : boxes) q.interest.Add(0, b);
+      ASSERT_TRUE(ent.InstallQuery(q, 100.0).ok());
+      installed.push_back(q.id);
+    };
+    for (int i = 0; i < 30; ++i) install();
+    for (int step = 0; step < 600; ++step) {
+      const double r = rng.Uniform(0, 1);
+      if (r < 0.2) {
+        install();
+      } else if (r < 0.35 && !installed.empty()) {
+        const size_t k = rng.NextUint64(installed.size());
+        EXPECT_TRUE(ent.RemoveQuery(installed[k]).ok());
+        installed.erase(installed.begin() + static_cast<std::ptrdiff_t>(k));
+      } else {
+        engine::Tuple t;
+        t.stream = 0;
+        t.timestamp = sim.now();
+        t.values.emplace_back(random_value(&rng, -10, 130));
+        t.values.emplace_back(random_value(&rng, -10, 110));
+        ent.OnStreamTuple(std::make_shared<const engine::Tuple>(std::move(t)));
+        sim.Run();
+      }
+      if (indexed) {
+        const common::Status audit = ent.CheckDelegateTables();
+        EXPECT_TRUE(audit.ok()) << audit.ToString();
+        interest::IndexStats index_stats;
+        ent.CollectIndexStats(&index_stats);
+        EXPECT_EQ(index_stats.indexes, 1);
+        saw_grid = saw_grid || index_stats.grid_indexes > 0;
+      }
     }
-    common::Rng rng(42);
-    for (int i = 0; i < 200; ++i) {
-      engine::Tuple t;
-      t.stream = 0;
-      t.timestamp = sim.now();
-      t.values = {engine::Value{rng.Uniform(0, 100)},
-                  engine::Value{rng.Uniform(0, 100)}};
-      ent.OnStreamTuple(std::make_shared<const engine::Tuple>(std::move(t)));
-      sim.Run();
-    }
+    EXPECT_EQ(saw_grid, indexed);
     return results;
   };
-  auto naive = run(false);
-  auto indexed = run(true);
-  EXPECT_EQ(naive, indexed);
-  EXPECT_GT(naive.size(), 0u);
+  for (uint64_t seed : {42u, 7u, 2024u}) {
+    const Sequences naive = run(seed, false);
+    const Sequences indexed = run(seed, true);
+    EXPECT_EQ(naive, indexed) << "seed " << seed;
+    EXPECT_GT(naive.size(), 10u) << "seed " << seed;
+  }
 }
 
 TEST_F(EntityTest, BatchEngineEntityProducesSameResults) {
